@@ -2,6 +2,8 @@ open Dmp_ir
 open Dmp_cfg
 open Dmp_profile
 
+module Int_set = Set.Make (Int)
+
 type fn_ctx = {
   index : int;
   cfg : Cfg.t;
@@ -13,6 +15,10 @@ type fn_ctx = {
       (* block size with Call instructions expanded to callee static size *)
   block_cbr : int array;
       (* conditional branches: own terminator plus callee static branches *)
+  def_sets : Int_set.t array;
+      (* registers written by each block, callees expanded *)
+  succ_probs : (int * float) list array;
+      (* successors in [Cfg.successors] order, with profiled edge probability *)
 }
 
 type t = {
@@ -39,9 +45,49 @@ let call_weights program =
     program.Program.funcs;
   (sizes, cbrs)
 
+let instr_defs acc ins =
+  List.fold_left (fun acc r -> Int_set.add (Reg.to_int r) acc) acc (Instr.defs ins)
+
+let callee_index program = function
+  | Instr.Call { callee } -> Program.find_func program callee
+  | _ -> None
+
+(* Registers written by each function, with calls treated as writing
+   their callee's defs (conservative union over everything reachable in
+   the call graph, recursion included). Each body is scanned once. *)
+let transitive_defs program =
+  let funcs = program.Program.funcs in
+  let fold_instrs f init func =
+    Array.fold_left
+      (fun acc b -> Array.fold_left f acc b.Block.body)
+      init func.Func.blocks
+  in
+  let own = Array.map (fold_instrs instr_defs Int_set.empty) funcs in
+  let callees =
+    Array.map
+      (fold_instrs
+         (fun acc ins ->
+           match callee_index program ins with
+           | Some fi -> fi :: acc
+           | None -> acc)
+         [])
+      funcs
+  in
+  Array.init (Array.length funcs) (fun root ->
+      let seen = Array.make (Array.length funcs) false in
+      let rec go acc fi =
+        if seen.(fi) then acc
+        else begin
+          seen.(fi) <- true;
+          List.fold_left go (Int_set.union acc own.(fi)) callees.(fi)
+        end
+      in
+      go Int_set.empty root)
+
 let create ?(params = Params.default) linked profile =
   let program = linked.Linked.program in
   let callee_size, callee_cbr = call_weights program in
+  let func_defs = transitive_defs program in
   let fns =
     Array.init (Program.num_funcs program) (fun index ->
         let f = Program.func program index in
@@ -64,6 +110,25 @@ let create ?(params = Params.default) linked profile =
           block_weight.(bi) <- !w;
           block_cbr.(bi) <- !c
         done;
+        let def_sets =
+          Array.map
+            (fun b ->
+              Array.fold_left
+                (fun acc ins ->
+                  let acc = instr_defs acc ins in
+                  match callee_index program ins with
+                  | Some fi -> Int_set.union acc func_defs.(fi)
+                  | None -> acc)
+                Int_set.empty b.Block.body)
+            f.Func.blocks
+        in
+        let succ_probs =
+          Array.init nb (fun block ->
+              List.map
+                (fun (s, dir) ->
+                  (s, Profile.edge_prob profile ~func:index ~block ~dir))
+                (Cfg.successors cfg block))
+        in
         {
           index;
           cfg;
@@ -73,6 +138,8 @@ let create ?(params = Params.default) linked profile =
           live = Live.of_func f;
           block_weight;
           block_cbr;
+          def_sets;
+          succ_probs;
         })
   in
   { linked; profile; params; fns }
@@ -95,38 +162,12 @@ let branch_addr' linked ~func ~block =
 let block_start_addr t ~func ~block =
   Linked.block_addr t.linked ~func ~block
 
-let edge_prob t ~func ~block ~dir = Profile.edge_prob t.profile ~func ~block ~dir
+let block_defs t ~func ~block = Int_set.elements (fn t func).def_sets.(block)
 
-(* Registers written by a block, with calls treated as writing their
-   callee's defs (conservative union). *)
-let block_defs t ~func ~block =
-  let program = t.linked.Linked.program in
-  let rec func_defs seen name acc =
-    if List.mem name seen then acc
-    else
-      match Program.find_func program name with
-      | None -> acc
-      | Some fi ->
-          let f = Program.func program fi in
-          Array.fold_left
-            (fun acc b -> block_defs_raw (name :: seen) b acc)
-            acc f.Func.blocks
-  and block_defs_raw seen b acc =
-    Array.fold_left
-      (fun acc ins ->
-        let acc =
-          List.fold_left
-            (fun acc r -> Reg.to_int r :: acc)
-            acc (Instr.defs ins)
-        in
-        match ins with
-        | Instr.Call { callee } -> func_defs seen callee acc
-        | _ -> acc)
-      acc b.Block.body
-  in
-  let f = Program.func program func in
-  let b = Func.block f block in
-  List.sort_uniq Int.compare (block_defs_raw [] b [])
+let region_defs t ~func blocks =
+  let sets = (fn t func).def_sets in
+  Int_set.elements
+    (List.fold_left (fun acc b -> Int_set.union acc sets.(b)) Int_set.empty blocks)
 
 (* Select-µops needed when two predicated paths writing [defs] merge at
    the entry of [cfm_block]: one per register live there. *)

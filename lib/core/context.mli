@@ -6,6 +6,8 @@ open Dmp_ir
 open Dmp_cfg
 open Dmp_profile
 
+module Int_set : Set.S with type elt = int
+
 type fn_ctx = {
   index : int;
   cfg : Cfg.t;
@@ -15,6 +17,12 @@ type fn_ctx = {
   live : Live.t;
   block_weight : int array;
   block_cbr : int array;
+  def_sets : Int_set.t array;
+      (** registers written by each block, callees expanded (the sets
+          behind {!block_defs}) *)
+  succ_probs : (int * float) list array;
+      (** each block's successors in {!Cfg.successors} order, paired with
+          the profiled edge probability ({!Profile.edge_prob}) *)
 }
 
 type t = {
@@ -35,11 +43,15 @@ val branch_addr' : Linked.t -> func:int -> block:int -> int
 (** Same, without an analysis context. *)
 
 val block_start_addr : t -> func:int -> block:int -> int
-val edge_prob : t -> func:int -> block:int -> dir:Cfg.dir -> float
 
 val block_defs : t -> func:int -> block:int -> int list
-(** Registers written by the block (callees expanded), as register
-    numbers; used to count select-µops. *)
+(** Registers written by the block, as sorted register numbers; used to
+    count select-µops. A call counts as writing every register written
+    by any function reachable from its callee in the call graph
+    (conservative, and finite under recursion). *)
+
+val region_defs : t -> func:int -> int list -> int list
+(** Sorted union of {!block_defs} over the given blocks. *)
 
 val select_count : t -> func:int -> cfm_block:int -> int list -> int
 (** Select-µops for paths writing the given registers and merging at

@@ -1,6 +1,6 @@
 open Dmp_cfg
 
-module Int_set = Set.Make (Int)
+module Int_set = Context.Int_set
 
 type reach = {
   mutable prob : float;
@@ -40,8 +40,12 @@ let record r ~prob ~insts ~cbrs ~blocks ~defs =
     r.best_path_prob <- prob;
     r.best_path_insts <- insts
   end;
-  r.blocks <- Int_set.union r.blocks blocks;
-  r.defs <- Int_set.union r.defs defs;
+  (* A subset test allocates nothing; it skips unions that would only
+     rebuild an equal set, the common case once a block is warm. *)
+  if not (Int_set.subset blocks r.blocks) then
+    r.blocks <- Int_set.union r.blocks blocks;
+  if not (Int_set.subset defs r.defs) then
+    r.defs <- Int_set.union r.defs defs;
   if cbrs > r.max_cbr then r.max_cbr <- cbrs
 
 let explore ctx ~func ~start ~stop_blocks ~structural =
@@ -54,6 +58,13 @@ let explore ctx ~func ~start ~stop_blocks ~structural =
   let truncated = ref false in
   let capped = ref false in
   let paths = ref 0 in
+  let nb = Cfg.num_nodes cfg in
+  let stop = Array.make nb false in
+  Int_set.iter (fun b -> stop.(b) <- true) stop_blocks;
+  (* How many times each block occurs on the current path, including the
+     block being visited: a block is recorded on its first occurrence
+     only, and the count is restored on backtrack. *)
+  let on_path = Array.make nb 0 in
   let reach_of block =
     match Hashtbl.find_opt reaches block with
     | Some r -> r
@@ -64,29 +75,20 @@ let explore ctx ~func ~start ~stop_blocks ~structural =
   in
   (* Walk all paths from [start]. At block [x] the accumulators describe
      the path prefix strictly before [x]. *)
-  let rec walk x ~prob ~insts ~cbrs ~blocks ~defs ~recorded =
+  let rec walk x ~prob ~insts ~cbrs ~blocks ~defs =
     if !paths >= params.Params.max_paths then capped := true
     else begin
-      let recorded =
-        if Int_set.mem x recorded then recorded
-        else begin
-          record (reach_of x) ~prob ~insts ~cbrs ~blocks ~defs;
-          Int_set.add x recorded
-        end
-      in
-      let stop_here = Int_set.mem x stop_blocks in
-      if stop_here then incr paths
+      if on_path.(x) = 0 then
+        record (reach_of x) ~prob ~insts ~cbrs ~blocks ~defs;
+      on_path.(x) <- on_path.(x) + 1;
+      if stop.(x) then incr paths
       else begin
-        let weight = fn.Context.block_weight.(x) in
-        let cbr_here = fn.Context.block_cbr.(x) in
-        let insts' = insts + weight in
-        let cbrs' = cbrs + cbr_here in
+        let insts' = insts + fn.Context.block_weight.(x) in
+        let cbrs' = cbrs + fn.Context.block_cbr.(x) in
         let blocks' = Int_set.add x blocks in
         let defs' =
-          List.fold_left
-            (fun acc r -> Int_set.add r acc)
-            defs
-            (Context.block_defs ctx ~func ~block:x)
+          let d = fn.Context.def_sets.(x) in
+          if Int_set.subset d defs then defs else Int_set.union defs d
         in
         match (Cfg.block cfg x).Dmp_ir.Block.term with
         | Dmp_ir.Term.Ret ->
@@ -107,11 +109,7 @@ let explore ctx ~func ~start ~stop_blocks ~structural =
             else
               let followed = ref false in
               List.iter
-                (fun (s, dir) ->
-                  let p =
-                    if structural then 1.
-                    else Context.edge_prob ctx ~func ~block:x ~dir
-                  in
+                (fun (s, p) ->
                   let follow =
                     structural || p >= params.Params.min_exec_prob
                   in
@@ -119,15 +117,16 @@ let explore ctx ~func ~start ~stop_blocks ~structural =
                     followed := true;
                     let prob' = if structural then prob else prob *. p in
                     walk s ~prob:prob' ~insts:insts' ~cbrs:cbrs'
-                      ~blocks:blocks' ~defs:defs' ~recorded
+                      ~blocks:blocks' ~defs:defs'
                   end)
-                (Cfg.successors cfg x);
+                fn.Context.succ_probs.(x);
               if not !followed then incr paths
-      end
+      end;
+      on_path.(x) <- on_path.(x) - 1
     end
   in
   walk start ~prob:1. ~insts:0 ~cbrs:0 ~blocks:Int_set.empty
-    ~defs:Int_set.empty ~recorded:Int_set.empty;
+    ~defs:Int_set.empty;
   {
     reaches;
     ret = (if !ret_reached then Some ret else None);

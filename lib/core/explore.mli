@@ -7,7 +7,11 @@
     directions with profiled probability at least [min_exec_prob] are
     followed and every visited block accumulates its reach probability;
     in structural mode every direction is followed and probabilities are
-    meaningless (Alg-exact only needs path lengths). *)
+    meaningless (Alg-exact only needs path lengths).
+
+    Results are a pure function of the arguments: the walk keeps no
+    state between calls and reads only the context's precomputed
+    per-block tables ([Context.fn_ctx]). *)
 
 module Int_set : Set.S with type elt = int
 

@@ -60,19 +60,9 @@ let candidate_of_branch ctx ~func ~block =
                     (fun acc b -> acc + fn.Context.block_weight.(b))
                     0 loop.Loops.body
                 in
-                let body_defs =
-                  List.fold_left
-                    (fun acc b ->
-                      List.fold_left
-                        (fun acc r ->
-                          if List.mem r acc then acc else r :: acc)
-                        acc
-                        (Context.block_defs ctx ~func ~block:b))
-                    [] loop.Loops.body
-                in
                 let select_uops =
                   Context.select_count ctx ~func ~cfm_block:exit_target
-                    body_defs
+                    (Context.region_defs ctx ~func loop.Loops.body)
                 in
                 Some
                   {

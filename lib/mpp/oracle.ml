@@ -99,14 +99,9 @@ let annotation linked =
            && insts <= params.Params.max_instr
            && cbrs <= params.Params.max_cbr
          then begin
-           let defs =
-             List.concat_map
-               (fun b -> Context.block_defs ctx ~func ~block:b)
-               blocks
-           in
-           let defs = List.sort_uniq compare defs in
            let select_uops =
-             Context.select_count ctx ~func ~cfm_block:ip defs
+             Context.select_count ctx ~func ~cfm_block:ip
+               (Context.region_defs ctx ~func blocks)
            in
            Annotation.add ann
              {
