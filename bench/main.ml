@@ -109,24 +109,11 @@ let micro () =
         (Staged.stage (fun () ->
              ignore
                (Dmp_exec.Trace.capture ~max_insts:100_000 linked ~input)));
-      Test.make ~name:"simulate-100k-baseline-live"
+      Test.make ~name:"simulate-100k-baseline-image"
         (Staged.stage (fun () ->
              ignore
-               (Dmp_uarch.Sim.run ~config:Dmp_uarch.Config.baseline
-                  ~max_insts:100_000 linked ~input)));
-      Test.make ~name:"simulate-100k-baseline-replay"
-        (Staged.stage (fun () ->
-             ignore
-               (Dmp_uarch.Sim.run_replay ~config:Dmp_uarch.Config.baseline
-                  ~max_insts:100_000 linked trace)));
-      (* The sweep's hot path, cursor vs pre-decoded image: same trace,
-         same annotation, bit-identical stats — only the per-event
-         supply differs. *)
-      Test.make ~name:"simulate-100k-dmp-cursor"
-        (Staged.stage (fun () ->
-             ignore
-               (Dmp_uarch.Sim.run_replay ~config:Dmp_uarch.Config.dmp
-                  ~annotation ~max_insts:100_000 linked trace)));
+               (Dmp_uarch.Sim.run_image ~config:Dmp_uarch.Config.baseline
+                  ~max_insts:100_000 linked image)));
       Test.make ~name:"simulate-100k-dmp-image"
         (Staged.stage (fun () ->
              ignore

@@ -158,7 +158,13 @@ let run_cmd =
           "--annotation-file only applies to the static provider\n";
         exit 2
     | _ -> ());
-    let _, linked, input, profile = pipeline bench set max_insts in
+    let spec = lookup_bench bench in
+    let linked = Spec.linked spec in
+    let input = spec.Spec.input (lookup_set set) in
+    (* One capture serves the profile and both simulations. *)
+    let trace = Dmp_exec.Trace.capture ?max_insts linked ~input in
+    let profile = Dmp_profile.Profile.collect_trace ?max_insts linked trace in
+    let image = Dmp_exec.Image.of_trace trace in
     let ann =
       match (provider_t, ann_file) with
       | Providers.Static, Some file -> (
@@ -179,13 +185,13 @@ let run_cmd =
           | None -> Dmp_core.Annotation.empty ())
     in
     let base =
-      Dmp_uarch.Sim.run ~config:Dmp_uarch.Config.baseline ?max_insts linked
-        ~input
+      Dmp_uarch.Sim.run_image ~config:Dmp_uarch.Config.baseline ?max_insts
+        linked image
     in
     let dmp =
-      Dmp_uarch.Sim.run
+      Dmp_uarch.Sim.run_image
         ~config:(Providers.config provider_t)
-        ~annotation:ann ?max_insts linked ~input
+        ~annotation:ann ?max_insts linked image
     in
     let algo =
       match provider_t with

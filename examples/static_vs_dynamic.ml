@@ -67,12 +67,17 @@ let () =
   in
   let linked = Linked.link program in
   let profile = Dmp_profile.Profile.collect linked ~input in
-  let converted, stats = Dmp_core.If_convert.run linked profile in
+  let module T = Dmp_transform in
+  let config =
+    { T.Pass_config.default with
+      T.Pass_config.passes = [ T.Pass_config.If_convert ] }
+  in
+  let res = T.Pipeline.run ~config linked profile in
+  let stats = res.T.Pipeline.stats in
   Fmt.pr "if-conversion: %d converted, %d rejected by shape, %d by profile@."
-    stats.Dmp_core.If_convert.converted
-    stats.Dmp_core.If_convert.rejected_shape
-    stats.Dmp_core.If_convert.rejected_profile;
-  let conv_linked = Linked.link converted in
+    stats.T.Stats.converted stats.T.Stats.rejected_shape
+    stats.T.Stats.rejected_profile;
+  let conv_linked = res.T.Pipeline.linked in
   (* semantics must be preserved *)
   let out p =
     let emu = Dmp_exec.Emulator.create p ~input in

@@ -66,7 +66,7 @@ let check_streams ?max_insts linked ~input trace image =
          "live stream continues past the %d events of a complete trace" n);
   List.rev !out
 
-let diff_stats ?(rule = "oracle-stats") ~label ~left ~right a b =
+let diff_stats ~label ~left ~right a b =
   match stats_mismatches a b with
   | [] -> []
   | ms ->
@@ -77,29 +77,10 @@ let diff_stats ?(rule = "oracle-stats") ~label ~left ~right a b =
              ms)
       in
       [
-        D.errorf ~rule "%s: %s and %s statistics disagree on %d field(s): %s"
-          label left right (List.length ms) fields;
+        D.errorf ~rule:"oracle-checkpoint"
+          "%s: %s and %s statistics disagree on %d field(s): %s" label left
+          right (List.length ms) fields;
       ]
-
-let sim_diff ?max_insts linked ~input trace image ~label config annotation =
-  let live = Sim.run ~config ?annotation ?max_insts linked ~input in
-  let replay = Sim.run_replay ~config ?annotation ?max_insts linked trace in
-  let img = Sim.run_image ~config ?annotation ?max_insts linked image in
-  diff_stats ~label ~left:"live" ~right:"replay" live replay
-  @ diff_stats ~label ~left:"live" ~right:"image" live img
-
-let check_sims ?max_insts ?annotation linked ~input trace image =
-  sim_diff ?max_insts linked ~input trace image ~label:"baseline"
-    Config.baseline None
-  @
-  match annotation with
-  | None -> []
-  | Some ann ->
-      sim_diff ?max_insts linked ~input trace image ~label:"dmp" Config.dmp
-        (Some ann)
-
-let check_dmp_sim ?max_insts ~label ann linked ~input trace image =
-  sim_diff ?max_insts linked ~input trace image ~label Config.dmp (Some ann)
 
 (* ---- checkpoints ---- *)
 
@@ -109,7 +90,6 @@ let check_dmp_sim ?max_insts ~label ann linked ~input trace image =
    the per-segment deltas must all reproduce the plain run's
    statistics field-for-field. *)
 let check_checkpoints ?max_insts ~label config annotation linked image =
-  let rule = "oracle-checkpoint" in
   let full = Sim.run_image ~config ?annotation ?max_insts linked image in
   let interval = max 1 (Image.length image / 4) in
   let ck_stats, ckpts =
@@ -117,7 +97,7 @@ let check_checkpoints ?max_insts ~label config annotation linked image =
       linked image
   in
   let capture =
-    diff_stats ~rule ~label ~left:"image" ~right:"checkpointing-run" full
+    diff_stats ~label ~left:"image" ~right:"checkpointing-run" full
       ck_stats
   in
   let resumes =
@@ -126,7 +106,7 @@ let check_checkpoints ?max_insts ~label config annotation linked image =
         let t =
           Sim.resume_image ~config ?annotation ?max_insts linked image ck
         in
-        diff_stats ~rule ~label ~left:"image"
+        diff_stats ~label ~left:"image"
           ~right:(Printf.sprintf "resume@%d" (Checkpoint.consumed ck))
           full (Sim.run_to_completion t))
       ckpts
@@ -146,7 +126,7 @@ let check_checkpoints ?max_insts ~label config annotation linked image =
     List.fold_left Stats.merge (Stats.create ()) (deltas None ckpts)
   in
   capture @ resumes
-  @ diff_stats ~rule ~label ~left:"image" ~right:"segment-merge" full merged
+  @ diff_stats ~label ~left:"image" ~right:"segment-merge" full merged
 
 (* ---- profiles ---- *)
 
@@ -358,16 +338,11 @@ let run ?max_insts ?(annotations = []) linked ~input =
   let trace = Trace.capture ?max_insts linked ~input in
   let image = Image.of_trace trace in
   check_streams ?max_insts linked ~input trace image
-  @ sim_diff ?max_insts linked ~input trace image ~label:"baseline"
-      Config.baseline None
   @ check_checkpoints ?max_insts ~label:"baseline" Config.baseline None
       linked image
   @ List.concat_map
       (fun (label, ann) ->
-        let label = Printf.sprintf "dmp[%s]" label in
-        sim_diff ?max_insts linked ~input trace image ~label Config.dmp
-          (Some ann)
-        @ check_checkpoints ?max_insts ~label Config.dmp (Some ann) linked
-            image)
+        check_checkpoints ?max_insts ~label:(Printf.sprintf "dmp[%s]" label)
+          Config.dmp (Some ann) linked image)
       annotations
   @ check_profiles ?max_insts linked ~input trace

@@ -1,15 +1,16 @@
 (** Differential oracle harness over the redundant execution paths.
 
-    The repo deliberately keeps three correct-path supplies with a
-    bit-identical-statistics contract (live emulator, packed-trace
-    replay, pre-decoded image) and two profile paths (exact
-    instrumentation, sampled + flow-conservation reconstruction, which
-    at period 1 must degenerate to the exact profile). The oracle runs
-    them against each other for one program + input and reports any
-    divergence: event streams are diffed lockstep and the first
-    diverging event is pinpointed by index and address; simulator
-    statistics are diffed field-by-field; profiles are diffed down to
-    the first differing branch or block counter. *)
+    The repo deliberately keeps three producers of the correct-path
+    event stream (live emulator, packed-trace replay, pre-decoded
+    image), two ways to run a simulation over an image (one pass, or
+    split at checkpoints) and two profile paths (exact instrumentation,
+    sampled + flow-conservation reconstruction, which at period 1 must
+    degenerate to the exact profile). The oracle runs them against each
+    other for one program + input and reports any divergence: event
+    streams are diffed lockstep and the first diverging event is
+    pinpointed by index and address; simulator statistics are diffed
+    field-by-field; profiles are diffed down to the first differing
+    branch or block counter. *)
 
 open Dmp_ir
 open Dmp_exec
@@ -26,20 +27,6 @@ val check_streams :
 (** Replay the packed trace and decode the image in lockstep with a
     live emulator; report the first diverging event (index + address)
     of either pair, and any length disagreement. *)
-
-val check_sims :
-  ?max_insts:int -> ?annotation:Annotation.t -> Linked.t ->
-  input:int array -> Trace.t -> Image.t -> Diagnostic.t list
-(** Run the baseline simulator (and, with [annotation], the DMP
-    simulator) over all three correct-path supplies and diff the
-    resulting statistics field-by-field. *)
-
-val check_dmp_sim :
-  ?max_insts:int -> label:string -> Annotation.t -> Linked.t ->
-  input:int array -> Trace.t -> Image.t -> Diagnostic.t list
-(** DMP-configuration three-way simulation diff for one annotation
-    (no baseline runs — callers diffing several annotations over one
-    trace run the baseline once via {!check_sims}). *)
 
 val check_checkpoints :
   ?max_insts:int -> label:string -> Config.t -> Annotation.t option ->
@@ -76,4 +63,4 @@ val run :
   ?max_insts:int -> ?annotations:(string * Annotation.t) list ->
   Linked.t -> input:int array -> Diagnostic.t list
 (** Capture a trace and image, then run every check above; [annotations]
-    are (label, annotation) pairs each given a DMP simulation diff. *)
+    are (label, annotation) pairs each given a DMP checkpoint diff. *)

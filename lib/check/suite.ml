@@ -80,11 +80,12 @@ let check_program ?max_insts ?(mutate = false) ?(mutate_transform = false)
   in
   let oracle =
     Oracle.check_streams ?max_insts linked ~input trace image
-    @ Oracle.check_sims ?max_insts linked ~input trace image
+    @ Oracle.check_checkpoints ?max_insts ~label:"baseline"
+        Dmp_uarch.Config.baseline None linked image
     @ List.concat_map
         (fun (label, _, ann) ->
-          Oracle.check_dmp_sim ?max_insts ~label:("dmp[" ^ label ^ "]") ann
-            linked ~input trace image)
+          Oracle.check_checkpoints ?max_insts ~label:("dmp[" ^ label ^ "]")
+            Dmp_uarch.Config.dmp (Some ann) linked image)
         annotated
     @ Oracle.check_profiles ?max_insts linked ~input trace
   in

@@ -7,8 +7,8 @@
     whole per-event unpacking cost from the simulator's hot loop. The
     event's [addr] also doubles as the index into any dense per-address
     table (one slot per instruction of the linked program, e.g.
-    [Dmp_uarch.Static_info]), which is how the simulator's specialised
-    image path avoids per-slot lookups.
+    [Dmp_uarch.Static_info]), which is how the simulator's fetch loop
+    avoids per-slot lookups.
 
     An image is immutable after {!of_trace} and safe to share across
     domains; each consumer keeps its own position index. The buffer

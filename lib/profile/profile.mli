@@ -27,7 +27,8 @@ val collect_trace :
   ?predictor:Predictor.t -> ?max_insts:int -> Linked.t -> Trace.t -> t
 (** Profile by replaying a packed trace of the same linked program;
     yields a profile identical to {!collect} over the input the trace
-    was captured from (same cap caveat as {!Dmp_uarch.Sim.create_replay}). *)
+    was captured from, provided the trace covers [max_insts] events
+    (captured with the same or a larger cap, or {!Trace.complete}). *)
 
 val collect_source :
   ?predictor:Predictor.t -> ?max_insts:int -> Linked.t -> Source.t -> t

@@ -1,21 +1,15 @@
 (* Cycle-level execution-driven simulator of the baseline processor and
    the diverge-merge processor (DMP).
 
-   The correct path comes from the architectural emulator's event
-   stream; wrong-path and dynamically-predicated wrong-side fetch walk
-   the static code under the branch predictor with a speculative history
-   copy. Timing comes from a dataflow model: every fetched instruction
-   dispatches [front_depth] cycles after fetch, starts when its source
-   registers are ready, and completes after its latency (loads ask the
-   cache hierarchy). Retirement is in-order through a reorder buffer;
-   fetch stalls when the ROB is full.
-
-   The correct path is supplied three ways with bit-identical results:
-   a live emulator or a packed-trace cursor (both behind [Source.t]),
-   or a pre-decoded [Image.t], for which [fetch_image_cycle] mirrors
-   the generic fetch loop with per-event array reads instead of cursor
-   decoding and accessor calls — the experiment sweep replays each
-   image hundreds of times, so this is the simulator's hottest path.
+   The correct path is the architectural event stream, read from a
+   pre-decoded [Image.t] with per-event array reads; wrong-path and
+   dynamically-predicated wrong-side fetch walk the static code under
+   the branch predictor with a speculative history copy. Timing comes
+   from a dataflow model: every fetched instruction dispatches
+   [front_depth] cycles after fetch, starts when its source registers
+   are ready, and completes after its latency (loads ask the cache
+   hierarchy). Retirement is in-order through a reorder buffer; fetch
+   stalls when the ROB is full.
 
    Modelling simplifications (documented in DESIGN.md):
    - ordinary wrong-path fetch after a misprediction is a fetch bubble
@@ -72,18 +66,13 @@ type recovery = {
   mutable r_pushed : int;
 }
 
-(* Correct-path supply: the generic [Source.t] abstraction (live
-   emulator or packed-trace cursor) or a pre-decoded image indexed by
-   [pos]. *)
-type supply = S_source of Source.t | S_image of Image.t
-
 type t = {
   config : Config.t;
-  linked : Linked.t;
   sinfo : Static_info.t;
   (* Dense per-address diverge-branch table (Annotation.compile). *)
   diverge_at : Annotation.compiled option array;
-  supply : supply;
+  (* Correct-path supply, indexed by [pos]. *)
+  image : Image.t;
   predictor : Predictor.t;
   conf : Conf.t;
   (* Dynamic merge-point predictor (Config.Dynamic provider only):
@@ -100,10 +89,10 @@ type t = {
   mutable cycle : int;
   mutable fetch_resume : int;
   mutable select_pending : int;
-  (* The supply's current event has been loaded but not yet fetched. *)
+  (* The image's current event has been loaded but not yet fetched. *)
   mutable pending : bool;
   mutable trace_done : bool;
-  (* Image supply: index of the current (loaded) event; -1 initially. *)
+  (* Index of the current (loaded) event; -1 initially. *)
   mutable pos : int;
   mutable mode : mode;
   mutable recovery : recovery option;
@@ -111,17 +100,23 @@ type t = {
   mutable consumed : int;
 }
 
-let make_with ~sinfo ?(config = Config.baseline) ?annotation
-    ?(max_insts = max_int) linked supply =
+(* [create_image] with the caller-supplied static-info table: the fused
+   sweep derives it once per kernel and shares it — read-only — across
+   every lane over the same linked program. *)
+let create_image_with ~sinfo ?(config = Config.baseline) ?annotation
+    ?(max_insts = max_int) image =
+  (* One bounds check here licenses the unchecked static-info and
+     diverge-table indexing in [fetch_image_cycle]. *)
+  if Image.max_addr image >= Static_info.size sinfo then
+    invalid_arg "Sim.create_image: image addresses exceed the linked program";
   let annotation =
     match annotation with Some a -> a | None -> Annotation.empty ()
   in
   {
     config;
-    linked;
     sinfo;
     diverge_at = Annotation.compile ~size:(Static_info.size sinfo) annotation;
-    supply;
+    image;
     predictor = Predictor.of_name config.Config.predictor;
     conf =
       Conf.create ~log2_entries:config.Config.conf_log2_entries
@@ -149,73 +144,18 @@ let make_with ~sinfo ?(config = Config.baseline) ?annotation
     consumed = 0;
   }
 
-let make ?config ?annotation ?max_insts linked supply =
-  make_with ~sinfo:(Static_info.of_linked linked) ?config ?annotation
-    ?max_insts linked supply
-
-let create_source ?config ?annotation ?max_insts linked source =
-  make ?config ?annotation ?max_insts linked (S_source source)
-
-let create ?config ?annotation ?max_insts linked ~input =
-  create_source ?config ?annotation ?max_insts linked
-    (Source.live (Emulator.create linked ~input))
-
-let create_replay ?config ?annotation ?max_insts linked trace =
-  create_source ?config ?annotation ?max_insts linked (Source.replay trace)
-
-(* [create_image] with the caller-supplied static-info table: the fused
-   sweep derives it once per kernel and shares it — read-only — across
-   every lane over the same linked program. *)
-let create_image_with ~sinfo ?config ?annotation ?max_insts linked image =
-  let t =
-    make_with ~sinfo ?config ?annotation ?max_insts linked (S_image image)
-  in
-  (* One bounds check here licenses the unchecked static-info and
-     diverge-table indexing in [fetch_image_cycle]. *)
-  if Image.max_addr image >= Static_info.size t.sinfo then
-    invalid_arg "Sim.create_image: image addresses exceed the linked program";
-  t
-
 let create_image ?config ?annotation ?max_insts linked image =
   create_image_with ~sinfo:(Static_info.of_linked linked) ?config ?annotation
-    ?max_insts linked image
+    ?max_insts image
 
-(* ---------- trace supply ----------
+(* ---------- correct-path supply ----------
 
-   [peek]/[consume] load the supply's next event; the event itself is
-   read through the [Source] current-event accessors (or the image
-   buffers at [t.pos]), which stay valid from the [peek] that loaded it
-   until the next [peek] after its [consume]. *)
+   [peek]/[consume] load the image's next event by bumping [t.pos]; the
+   event is read from the image buffers at [t.pos], which stay the
+   current event from the [peek] that loaded it until the next [peek]
+   after its [consume]. *)
 
-let peek t s =
-  t.pending
-  ||
-  if t.trace_done then false
-  else if t.consumed >= t.max_insts then begin
-    t.trace_done <- true;
-    false
-  end
-  else if Source.advance s then begin
-    t.pending <- true;
-    true
-  end
-  else begin
-    t.trace_done <- true;
-    false
-  end
-
-let consume t s =
-  peek t s
-  && begin
-       t.pending <- false;
-       t.consumed <- t.consumed + 1;
-       true
-     end
-
-(* Image supply: same protocol with the cursor decode replaced by a
-   position bump. *)
-
-let ipeek t (img : Image.t) =
+let peek t (img : Image.t) =
   t.pending
   ||
   if t.trace_done then false
@@ -233,8 +173,8 @@ let ipeek t (img : Image.t) =
     false
   end
 
-let iconsume t img =
-  ipeek t img
+let consume t img =
+  peek t img
   && begin
        t.pending <- false;
        t.consumed <- t.consumed + 1;
@@ -270,7 +210,7 @@ let retire t =
 (* ---------- dataflow timing ---------- *)
 
 (* [loc] is the memory location of the correct-path event; the fetch
-   loops pass it only for loads and stores (the trace guarantees those
+   loop passes it only for loads and stores (the trace guarantees those
    events carry their location) and 0 for every other class, and only
    the load/store arms below read it. *)
 let complete t ~(info : Static_info.info) ~loc =
@@ -544,7 +484,7 @@ let enter_predicted_dpred t ~addr ~taken ~merge (g : Mpt.config)
 
 exception Stop_fetch
 
-(* Handle a just-fetched conditional branch shared by both fetch loops:
+(* Handle a just-fetched correct-path conditional branch:
    diverge-branch decisions, inner-misprediction aborts, and the
    ordinary misprediction flush. Raises [Stop_fetch] when the fetch
    cycle must end. [target]/[fall] are the branch's architectural
@@ -621,105 +561,14 @@ let[@inline] branch_event t ~(in_dpred : dpred option) ~addr ~taken ~target
   if branches >= t.config.Config.max_branches_per_cycle then raise Stop_fetch;
   if taken then raise Stop_fetch
 
-(* Fetch correct-path (trace) instructions for one cycle from the
-   generic supply. [in_dpred] carries the dpred state when the correct
-   side is one of the two predicated paths. Returns unit; updates all
-   machine state. *)
-let fetch_trace_cycle t (s : Source.t) ~(in_dpred : dpred option) =
-  let slots = ref t.config.Config.fetch_width in
-  let branches = ref 0 in
-  (try
-     while !slots > 0 do
-       if t.select_pending > 0 then begin
-         if rob_full t then raise Stop_fetch;
-         rob_push t (t.cycle + t.config.Config.front_depth
-                     + t.config.Config.select_uop_latency);
-         t.select_pending <- t.select_pending - 1;
-         t.stats.Stats.select_uops <- t.stats.Stats.select_uops + 1;
-         decr slots
-       end
-       else if rob_full t then raise Stop_fetch
-       else begin
-         (match in_dpred with
-         | Some d when peek t s ->
-             (* Stop the correct side at a CFM point before fetching it. *)
-             let next_fetch = Source.addr s in
-             if Annotation.is_cfm d.d_cfm next_fetch then begin
-               d.d_correct_stop <- next_fetch;
-               raise Stop_fetch
-             end
-         | Some _ | None -> ());
-         if not (consume t s) then raise Stop_fetch
-         else begin
-           let addr = Source.addr s in
-           let next = Source.next_addr s in
-           (* Loop dpred-mode ends when the trace reaches the loop's
-              exit target through any path. *)
-           (match t.mode with
-           | M_loop l when addr = l.l_exit_target -> t.mode <- M_normal
-           | M_loop _ | M_normal | M_dpred _ -> ());
-           let info = Static_info.get t.sinfo addr in
-           (* Train the dynamic merge-point predictor on the consumed
-              (architectural) stream; conditional branches train inside
-              their arm, where the direction is known. *)
-           (match t.mpt with
-           | Some m -> (
-               match info.Static_info.klass with
-               | Static_info.K_branch -> ()
-               | Static_info.K_call -> Mpt.observe_call m ~addr
-               | Static_info.K_ret -> Mpt.observe_ret m
-               | _ -> Mpt.observe m ~addr)
-           | None -> ());
-           match info.Static_info.klass with
-           | Static_info.K_branch ->
-               incr branches;
-               let taken = Source.taken s in
-               let target = Source.p1 s in
-               let fall = Source.p2 s in
-               (match t.mpt with
-               | Some m -> Mpt.observe_branch m ~addr ~taken
-               | None -> ());
-               let o = process_cond_branch t ~addr ~taken ~info in
-               decr slots;
-               branch_event t ~in_dpred ~addr ~taken ~target ~fall
-                 ~branches:!branches o
-           | Static_info.K_ret ->
-               let d = complete t ~info ~loc:0 in
-               rob_push t d;
-               decr slots;
-               (match in_dpred with
-               | Some dp when dp.d_return_cfm ->
-                   dp.d_correct_stop <- -2;
-                   raise Stop_fetch
-               | _ -> ());
-               if next <> addr + 1 then raise Stop_fetch
-           | Static_info.K_load | Static_info.K_store ->
-               (* Memory events always carry their location. *)
-               let d = complete t ~info ~loc:(Source.p1 s) in
-               rob_push t d;
-               decr slots;
-               if next <> addr + 1 && next <> Event.halted_next then
-                 raise Stop_fetch
-           | _ ->
-               let d = complete t ~info ~loc:0 in
-               rob_push t d;
-               decr slots;
-               (* Taken control transfers end the fetch cycle, except
-                  fall-through jumps to the next address. *)
-               if next <> addr + 1 && next <> Event.halted_next then
-                 raise Stop_fetch
-         end
-       end
-     done
-   with Stop_fetch -> ())
-
-(* The same fetch cycle specialised on a pre-decoded image: per-event
-   fields are single array reads at [t.pos] (no cursor decode, no
-   accessor calls) and the static-info lookup indexes the dense table
-   unchecked — [create_image] validated every image address against the
-   table size. Must stay a line-for-line mirror of [fetch_trace_cycle]
-   (the equivalence is enforced by qcheck and integration tests). *)
-let fetch_image_cycle t (img : Image.t) ~(in_dpred : dpred option) =
+(* Fetch correct-path instructions for one cycle from the image.
+   [in_dpred] carries the dpred state when the correct side is one of
+   the two predicated paths. Per-event fields are single array reads at
+   [t.pos], and the static-info lookup indexes the dense table
+   unchecked — [create_image] validated every image address against
+   the table size. Returns unit; updates all machine state. *)
+let fetch_image_cycle t ~(in_dpred : dpred option) =
+  let img = t.image in
   let addrs = img.Image.addr
   and nexts = img.Image.next
   and tags = img.Image.tag
@@ -741,18 +590,21 @@ let fetch_image_cycle t (img : Image.t) ~(in_dpred : dpred option) =
        else if rob_full t then raise Stop_fetch
        else begin
          (match in_dpred with
-         | Some d when ipeek t img ->
+         | Some d when peek t img ->
+             (* Stop the correct side at a CFM point before fetching it. *)
              let next_fetch = Bigarray.Array1.unsafe_get addrs t.pos in
              if Annotation.is_cfm d.d_cfm next_fetch then begin
                d.d_correct_stop <- next_fetch;
                raise Stop_fetch
              end
          | Some _ | None -> ());
-         if not (iconsume t img) then raise Stop_fetch
+         if not (consume t img) then raise Stop_fetch
          else begin
            let pos = t.pos in
            let addr = Bigarray.Array1.unsafe_get addrs pos in
            let next = Bigarray.Array1.unsafe_get nexts pos in
+           (* Loop dpred-mode ends when the trace reaches the loop's
+              exit target through any path. *)
            (match t.mode with
            | M_loop l when addr = l.l_exit_target -> t.mode <- M_normal
            | M_loop _ | M_normal | M_dpred _ -> ());
@@ -794,6 +646,7 @@ let fetch_image_cycle t (img : Image.t) ~(in_dpred : dpred option) =
                | _ -> ());
                if next <> addr + 1 then raise Stop_fetch
            | Static_info.K_load | Static_info.K_store ->
+               (* Memory events always carry their location. *)
                let d =
                  complete t ~info ~loc:(Bigarray.Array1.unsafe_get p1s pos)
                in
@@ -805,17 +658,14 @@ let fetch_image_cycle t (img : Image.t) ~(in_dpred : dpred option) =
                let d = complete t ~info ~loc:0 in
                rob_push t d;
                decr slots;
+               (* Taken control transfers end the fetch cycle, except
+                  fall-through jumps to the next address. *)
                if next <> addr + 1 && next <> Event.halted_next then
                  raise Stop_fetch
          end
        end
      done
    with Stop_fetch -> ())
-
-let fetch_correct t ~in_dpred =
-  match t.supply with
-  | S_source s -> fetch_trace_cycle t s ~in_dpred
-  | S_image img -> fetch_image_cycle t img ~in_dpred
 
 (* Fetch wrong-side (walker) instructions for one cycle during
    dpred-mode. *)
@@ -882,7 +732,7 @@ let dpred_cycle t (d : dpred) =
     d.d_turn <- not d.d_turn;
     if correct_active || wrong_active then
       if pick_correct && correct_active then
-        fetch_correct t ~in_dpred:(Some d)
+        fetch_image_cycle t ~in_dpred:(Some d)
       else if wrong_active then fetch_walker_cycle t d
   end
 
@@ -929,7 +779,7 @@ let step_cycle t =
       if t.cycle >= t.fetch_resume then begin
         match t.mode with
         | M_normal | M_loop _ ->
-            if not t.trace_done then fetch_correct t ~in_dpred:None
+            if not t.trace_done then fetch_image_cycle t ~in_dpred:None
         | M_dpred d -> dpred_cycle t d
       end
 
@@ -946,17 +796,13 @@ let run_to_completion t =
   done;
   finalize t
 
-let run ?config ?annotation ?max_insts linked ~input =
-  let t = create ?config ?annotation ?max_insts linked ~input in
-  run_to_completion t
-
-let run_replay ?config ?annotation ?max_insts linked trace =
-  let t = create_replay ?config ?annotation ?max_insts linked trace in
-  run_to_completion t
-
 let run_image ?config ?annotation ?max_insts linked image =
   let t = create_image ?config ?annotation ?max_insts linked image in
   run_to_completion t
+
+let run ?config ?annotation ?max_insts linked ~input =
+  run_image ?config ?annotation ?max_insts linked
+    (Image.of_trace (Trace.capture ?max_insts linked ~input))
 
 let stats t = t.stats
 
@@ -970,8 +816,7 @@ let merge_predictions t =
    predication and misprediction recovery are all bounded, so a safe
    cycle boundary recurs; restricting capture to those points keeps the
    episode state machines (walkers, dpred context) out of the snapshot
-   entirely. Only the image supply is checkpointable — [pos] makes the
-   trace position restorable, which a live emulator is not.
+   entirely. [pos] makes the trace position restorable.
 
    Layout: "core" holds the scalar machine state plus three shape
    fingerprints (image length, ROB size, register count) validated on
@@ -987,11 +832,6 @@ let at_safe_point t =
   && match t.recovery with None -> true | Some _ -> false
 
 let checkpoint t =
-  let image =
-    match t.supply with
-    | S_image img -> img
-    | S_source _ -> invalid_arg "Sim.checkpoint: requires an image supply"
-  in
   if not (at_safe_point t) then
     invalid_arg "Sim.checkpoint: not at a safe point (episode in progress)";
   let core =
@@ -999,7 +839,8 @@ let checkpoint t =
       t.cycle; t.fetch_resume; t.select_pending;
       (if t.pending then 1 else 0);
       (if t.trace_done then 1 else 0);
-      t.pos; Image.length image; Array.length t.rob; Array.length t.reg_ready;
+      t.pos; Image.length t.image; Array.length t.rob;
+      Array.length t.reg_ready;
     |]
   in
   let len = Array.length t.rob in
@@ -1031,11 +872,11 @@ let checkpoint t =
    checkpoint that is a pure function of the consumed event prefix.
    Shared by the exact resume (which also restores the timing state)
    and the sampled mode (which deliberately does not). *)
-let restore_arch t image ck =
+let restore_arch t ck =
   let core = Checkpoint.section ck "core" in
   if Array.length core <> 9 then
     invalid_arg "Sim.resume: bad core section";
-  if core.(6) <> Image.length image then
+  if core.(6) <> Image.length t.image then
     invalid_arg "Sim.resume: checkpoint is for a different image";
   if core.(7) <> Array.length t.rob || core.(8) <> Array.length t.reg_ready
   then invalid_arg "Sim.resume: checkpoint is for a different configuration";
@@ -1062,7 +903,7 @@ let restore_arch t image ck =
 (* Restore the full machine state (timing included) into a freshly
    created simulation over the same image — the body of [resume_image],
    shared with the fused kernel's per-lane checkpoint starts. *)
-let resume_into t image ck =
+let resume_into t ck =
   (* An exact resume must reproduce the capturing run byte-identically,
      so a dynamic-provider lane cannot silently start its predictor
      cold from a static-provider checkpoint. *)
@@ -1071,7 +912,7 @@ let resume_into t image ck =
       invalid_arg
         "Sim.resume_image: checkpoint lacks merge-point predictor state"
   | Some _ | None -> ());
-  let core = restore_arch t image ck in
+  let core = restore_arch t ck in
   t.cycle <- core.(0);
   t.fetch_resume <- core.(1);
   t.select_pending <- core.(2);
@@ -1089,8 +930,7 @@ let resume_into t image ck =
   t
 
 let resume_image ?config ?annotation ?max_insts linked image ck =
-  resume_into (create_image ?config ?annotation ?max_insts linked image)
-    image ck
+  resume_into (create_image ?config ?annotation ?max_insts linked image) ck
 
 (* ---------- fused multi-annotation sweep ----------
 
@@ -1118,10 +958,9 @@ let run_image_fused ?config ?max_insts linked image lanes =
           (List.map
              (fun (annotation, from) ->
                let t =
-                 create_image_with ~sinfo ?config ?annotation ?max_insts
-                   linked image
+                 create_image_with ~sinfo ?config ?annotation ?max_insts image
                in
-               match from with None -> t | Some ck -> resume_into t image ck)
+               match from with None -> t | Some ck -> resume_into t ck)
              lanes)
       in
       (* Per-lane cycle guards: each lane gets the same [max_sim_cycles]
@@ -1247,7 +1086,7 @@ let run_image_sampled ?config ?annotation ?max_insts ?from ~length ~warmup
      register timestamps, cycle counter) deliberately starts cold and
      is warmed by the prefix. *)
   (match from with
-  | Some ck -> ignore (restore_arch t image ck : int array)
+  | Some ck -> ignore (restore_arch t ck : int array)
   | None -> ());
   let start = t.consumed in
   if length <= warmup + window then begin

@@ -1,13 +1,13 @@
 (** Cycle-level execution-driven simulator of the baseline processor
     and the diverge-merge processor.
 
-    The correct path comes from the architectural emulator's event
-    stream; wrong-path and dynamically-predicated wrong-side fetch walk
-    the static code under the branch predictor with a speculative
-    history copy. Timing comes from a dataflow model (dispatch
-    [front_depth] cycles after fetch; start when source registers are
-    ready; loads ask the cache hierarchy) with in-order retirement
-    through a reorder buffer.
+    The correct path is the architectural event stream, read from a
+    pre-decoded {!Dmp_exec.Image.t}; wrong-path and
+    dynamically-predicated wrong-side fetch walk the static code under
+    the branch predictor with a speculative history copy. Timing comes
+    from a dataflow model (dispatch [front_depth] cycles after fetch;
+    start when source registers are ready; loads ask the cache
+    hierarchy) with in-order retirement through a reorder buffer.
 
     With [config.dmp_enabled] and an annotation, fetching a
     low-confidence (or always-predicate) diverge branch enters
@@ -17,12 +17,10 @@
     branches use the iteration-oriented mechanism with the paper's
     correct / early-exit / late-exit / no-exit cases.
 
-    The correct path is supplied three ways with bit-identical
-    statistics: a live emulator ({!create}), a packed-trace cursor
-    ({!create_replay}), or a pre-decoded {!Dmp_exec.Image.t}
-    ({!create_image}). The image path runs a specialised fetch loop
-    over the image's flat buffers — the fastest of the three; the
-    experiment sweep uses it for every simulation of a cached trace. *)
+    Decode a trace once with {!Dmp_exec.Image.of_trace}, then share the
+    image across every simulation of that (benchmark, input) pair; the
+    per-event cost is plain array indexing. {!run} wraps the capture
+    and decode for one-off simulations of an input. *)
 
 open Dmp_ir
 open Dmp_exec
@@ -30,50 +28,30 @@ open Dmp_core
 
 type t
 
-val create :
-  ?config:Config.t -> ?annotation:Annotation.t -> ?max_insts:int ->
-  Linked.t -> input:int array -> t
-(** Execution-driven: the correct path is supplied by a live emulator
-    over [input]. *)
-
-val create_replay :
-  ?config:Config.t -> ?annotation:Annotation.t -> ?max_insts:int ->
-  Linked.t -> Trace.t -> t
-(** Trace-driven: the correct path is replayed from a packed trace of
-    the same linked program, producing statistics identical to
-    {!create} over the input the trace was captured from. The trace
-    must cover [max_insts] instructions (i.e. be captured with the same
-    or a larger cap, or be {!Trace.complete}); the replay hot path does
-    not allocate per event. *)
-
 val create_image :
   ?config:Config.t -> ?annotation:Annotation.t -> ?max_insts:int ->
   Linked.t -> Image.t -> t
-(** Trace-driven from a pre-decoded image of a trace of the same linked
-    program; statistics are identical to {!create_replay} over the
-    trace the image was decoded from. The per-event cost is plain array
-    indexing: decode the trace once with {!Image.of_trace}, then share
-    the image across every simulation of that (benchmark, input) pair.
+(** A simulation whose correct path is the pre-decoded image of a trace
+    of the same linked program. The image must cover [max_insts]
+    instructions (i.e. be decoded from a trace captured with the same
+    or a larger cap, or from a {!Trace.complete} one).
     @raise Invalid_argument if the image contains an address outside
     the linked program (it was decoded from some other program's
     trace). *)
 
 val run_to_completion : t -> Stats.t
 
-val run :
-  ?config:Config.t -> ?annotation:Annotation.t -> ?max_insts:int ->
-  Linked.t -> input:int array -> Stats.t
-(** Convenience: [create] + [run_to_completion]. *)
-
-val run_replay :
-  ?config:Config.t -> ?annotation:Annotation.t -> ?max_insts:int ->
-  Linked.t -> Trace.t -> Stats.t
-(** Convenience: [create_replay] + [run_to_completion]. *)
-
 val run_image :
   ?config:Config.t -> ?annotation:Annotation.t -> ?max_insts:int ->
   Linked.t -> Image.t -> Stats.t
 (** Convenience: [create_image] + [run_to_completion]. *)
+
+val run :
+  ?config:Config.t -> ?annotation:Annotation.t -> ?max_insts:int ->
+  Linked.t -> input:int array -> Stats.t
+(** Convenience: capture the trace of [input] (up to [max_insts]
+    events), decode it and {!run_image} it. Callers simulating one
+    input several times should capture and decode once instead. *)
 
 val stats : t -> Stats.t
 
@@ -119,14 +97,13 @@ val run_image_fused :
     point}: a cycle boundary in normal mode with no dpred episode and
     no misprediction recovery in flight. Episodes are bounded, so safe
     boundaries recur; restricting capture to them keeps the episode
-    state machines out of the snapshot. Only image-supplied simulations
-    are checkpointable (the image makes the trace position
-    restorable). *)
+    state machines out of the snapshot. The image position makes the
+    trace position restorable. *)
 
 val checkpoint : t -> Dmp_exec.Checkpoint.t
 (** Snapshot the current state.
-    @raise Invalid_argument unless the simulation uses an image supply
-    and sits at a safe point. *)
+    @raise Invalid_argument unless the simulation sits at a safe
+    point. *)
 
 val resume_image :
   ?config:Config.t -> ?annotation:Annotation.t -> ?max_insts:int ->

@@ -544,62 +544,6 @@ let test_annotation_parse_errors () =
       | Ok _ -> Alcotest.failf "expected parse error: %s" text)
     [ "12 bogus\n"; "x simple\n"; "12 simple cfm=1:2\n"; "12\n" ]
 
-(* ---------- static if-conversion ---------- *)
-
-let output_of program ~input =
-  let emu = Dmp_exec.Emulator.create (Linked.link program) ~input in
-  ignore (Dmp_exec.Emulator.run emu);
-  Dmp_exec.Emulator.output emu
-
-let test_if_convert_semantics () =
-  let program = Helpers.simple_hammock_program () in
-  let input = Helpers.uniform_input 2100 in
-  let linked = Linked.link program in
-  let profile = Dmp_profile.Profile.collect linked ~input in
-  let converted, stats = If_convert.run linked profile in
-  check Alcotest.bool "converted something" true
-    (stats.If_convert.converted > 0);
-  check Alcotest.bool "same output" true
-    (output_of program ~input = output_of converted ~input);
-  (* on a different input too *)
-  let input2 = Helpers.uniform_input ~seed:123 2100 in
-  check Alcotest.bool "same output, other input" true
-    (output_of program ~input:input2 = output_of converted ~input:input2)
-
-let test_if_convert_rejects_memory_arms () =
-  (* ret_cfm_program's callee arms return; its hammocks are not
-     convertible; the emulator behaviour must be untouched. *)
-  let program = Helpers.ret_cfm_program () in
-  let input = Helpers.uniform_input 2100 in
-  let linked = Linked.link program in
-  let profile = Dmp_profile.Profile.collect linked ~input in
-  let converted, stats = If_convert.run linked profile in
-  check Alcotest.int "nothing converted" 0 stats.If_convert.converted;
-  check Alcotest.bool "program unchanged semantically" true
-    (output_of program ~input = output_of converted ~input)
-
-let test_if_convert_removes_flushes () =
-  let program = Helpers.simple_hammock_program () in
-  let input = Helpers.uniform_input 2100 in
-  let linked = Linked.link program in
-  let profile = Dmp_profile.Profile.collect linked ~input in
-  let converted, _ = If_convert.run linked profile in
-  let flushes p =
-    (Dmp_uarch.Sim.run ~config:Dmp_uarch.Config.baseline (Linked.link p)
-       ~input).Dmp_uarch.Stats.flushes
-  in
-  check Alcotest.bool "conversion removes most flushes" true
-    (flushes converted * 2 < flushes program)
-
-let test_if_convert_profile_gate () =
-  (* A perfectly predictable hammock stays untouched. *)
-  let program = Helpers.simple_hammock_program () in
-  let input = Array.make 2100 2 in
-  let linked = Linked.link program in
-  let profile = Dmp_profile.Profile.collect linked ~input in
-  let _, stats = If_convert.run linked profile in
-  check Alcotest.int "profile gate holds" 0 stats.If_convert.converted
-
 (* ---------- ablation knobs ---------- *)
 
 let test_ablation_knobs () =
@@ -918,17 +862,6 @@ let () =
             test_fingerprint_diverge_indices;
           Alcotest.test_case "compile edge cases" `Quick
             test_compile_edge_cases;
-        ] );
-      ( "if-conversion",
-        [
-          Alcotest.test_case "semantics preserved" `Quick
-            test_if_convert_semantics;
-          Alcotest.test_case "memory arms rejected" `Quick
-            test_if_convert_rejects_memory_arms;
-          Alcotest.test_case "flushes removed" `Quick
-            test_if_convert_removes_flushes;
-          Alcotest.test_case "profile gate" `Quick
-            test_if_convert_profile_gate;
         ] );
       ( "properties",
         [

@@ -92,12 +92,11 @@ let test_profile_input_set_robustness () =
     (diff > same *. 0.9)
 
 let test_replay_equals_live_across_suite () =
-  (* Every real benchmark: profiling and both simulator configurations
-     must be bit-identical whether the correct path comes from a live
-     emulator, a replayed packed trace, or a pre-decoded image of that
-     trace. *)
+  (* Every real benchmark: profiling must be bit-identical whether the
+     correct path comes from a live emulator or a replayed packed trace,
+     and the live, replayed and image-decoded event streams must agree
+     event for event. *)
   let pbytes p = Marshal.to_string (Dmp_profile.Profile.to_raw p) [] in
-  let sbytes (s : Stats.t) = Marshal.to_string s [] in
   List.iter
     (fun spec ->
       let name = spec.Spec.name in
@@ -111,33 +110,13 @@ let test_replay_equals_live_across_suite () =
       check Alcotest.bool (name ^ ": profile identical") true
         (pbytes profile
         = pbytes (Dmp_profile.Profile.collect_trace ~max_insts:cap linked tr));
-      let base_live =
-        sbytes (Sim.run ~config:Config.baseline ~max_insts:cap linked ~input)
-      in
-      check Alcotest.bool (name ^ ": baseline identical") true
-        (base_live
-        = sbytes
-            (Sim.run_replay ~config:Config.baseline ~max_insts:cap linked tr));
-      check Alcotest.bool (name ^ ": baseline image identical") true
-        (base_live
-        = sbytes
-            (Sim.run_image ~config:Config.baseline ~max_insts:cap linked img));
-      let ann = Select.run linked profile in
-      let dmp_live =
-        sbytes
-          (Sim.run ~config:Config.dmp ~annotation:ann ~max_insts:cap linked
-             ~input)
-      in
-      check Alcotest.bool (name ^ ": dmp identical") true
-        (dmp_live
-        = sbytes
-            (Sim.run_replay ~config:Config.dmp ~annotation:ann ~max_insts:cap
-               linked tr));
-      check Alcotest.bool (name ^ ": dmp image identical") true
-        (dmp_live
-        = sbytes
-            (Sim.run_image ~config:Config.dmp ~annotation:ann ~max_insts:cap
-               linked img)))
+      check
+        Alcotest.(list string)
+        (name ^ ": live = trace = image event streams")
+        []
+        (List.map (Fmt.str "%a" Dmp_check.Diagnostic.pp)
+           (Dmp_check.Oracle.check_streams ~max_insts:cap linked ~input tr
+              img)))
     Registry.all
 
 let test_selection_deterministic () =

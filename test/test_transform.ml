@@ -132,6 +132,37 @@ let test_if_convert_simple () =
     (r.T.Pipeline.stats.T.Stats.selects > 0);
   fail_on_errors "simple hammock" (transform_diags linked r ~input)
 
+let if_convert_only =
+  { T.Pass_config.default with
+    T.Pass_config.passes = [ T.Pass_config.If_convert ] }
+
+(* Converting the unpredictable hammock removes most of the baseline
+   machine's misprediction flushes. *)
+let test_if_convert_removes_flushes () =
+  let program = Helpers.simple_hammock_program () in
+  let input = Helpers.uniform_input 2100 in
+  let linked, r = run_pipeline ~config:if_convert_only program ~input in
+  let flushes linked =
+    (Dmp_uarch.Sim.run ~config:Dmp_uarch.Config.baseline linked ~input)
+      .Dmp_uarch.Stats.flushes
+  in
+  check Alcotest.bool "converted" true
+    (r.T.Pipeline.stats.T.Stats.converted > 0);
+  check Alcotest.bool "conversion removes most flushes" true
+    (flushes r.T.Pipeline.linked * 2 < flushes linked)
+
+(* A perfectly predictable hammock stays untouched at the default
+   threshold. *)
+let test_if_convert_profile_gate () =
+  let program = Helpers.simple_hammock_program () in
+  let input = Array.make 2100 2 in
+  let _, r = run_pipeline ~config:if_convert_only program ~input in
+  let s = r.T.Pipeline.stats in
+  check Alcotest.int "profile gate holds" 0 s.T.Stats.converted;
+  check Alcotest.bool "gated by the profile" true
+    (s.T.Stats.rejected_profile > 0);
+  check Alcotest.bool "program unchanged" false r.T.Pipeline.changed
+
 (* if (c1) { if (c2) {..} else {..} } else {..} — both diamonds share
    the outer join: the inner one converts on the first sweep, turning
    [outer_t] into a straight-line block ending in a jump to the join,
@@ -318,6 +349,10 @@ let () =
             test_if_convert_simple;
           Alcotest.test_case "if-convert nested" `Quick
             test_if_convert_nested;
+          Alcotest.test_case "if-convert removes flushes" `Quick
+            test_if_convert_removes_flushes;
+          Alcotest.test_case "if-convert profile gate" `Quick
+            test_if_convert_profile_gate;
           Alcotest.test_case "meld" `Quick test_meld;
           Alcotest.test_case "meld mutation detected" `Quick
             test_meld_mutation_detected;

@@ -210,61 +210,6 @@ let qcheck_sim_terminates_and_counts =
       stats.Stats.retired = expected
       && stats.Stats.flushes = stats.Stats.mispredictions)
 
-let qcheck_replay_equals_live =
-  QCheck.Test.make
-    ~name:"trace replay reproduces live simulation bit-for-bit" ~count:25
-    QCheck.(int_range 2 16)
-    (fun n ->
-      let st = Random.State.make [| n; 91 |] in
-      let program = Helpers.random_program st ~nblocks:n in
-      let linked = Linked.link program in
-      let input = Helpers.uniform_input 64 in
-      let tr = Dmp_exec.Trace.capture linked ~input in
-      let bytes (s : Stats.t) = Marshal.to_string s [] in
-      let base_ok =
-        bytes (Sim.run ~config:Config.baseline linked ~input)
-        = bytes (Sim.run_replay ~config:Config.baseline linked tr)
-      in
-      let profile = Dmp_profile.Profile.collect linked ~input in
-      let ann = Dmp_core.Select.run linked profile in
-      let dmp_ok =
-        bytes (Sim.run ~config:Config.dmp ~annotation:ann linked ~input)
-        = bytes (Sim.run_replay ~config:Config.dmp ~annotation:ann linked tr)
-      in
-      base_ok && dmp_ok)
-
-let qcheck_image_equals_replay =
-  QCheck.Test.make
-    ~name:"pre-decoded image reproduces trace replay bit-for-bit" ~count:25
-    QCheck.(int_range 2 16)
-    (fun n ->
-      let st = Random.State.make [| n; 137 |] in
-      let program = Helpers.random_program st ~nblocks:n in
-      let linked = Linked.link program in
-      let input = Helpers.uniform_input 64 in
-      let tr = Dmp_exec.Trace.capture linked ~input in
-      let img = Dmp_exec.Image.of_trace tr in
-      let bytes (s : Stats.t) = Marshal.to_string s [] in
-      (* Vary the config so the equivalence also covers narrow fetch,
-         small ROBs and permissive confidence thresholds. *)
-      let config =
-        match n mod 3 with
-        | 0 -> Config.dmp
-        | 1 -> { Config.dmp with Config.conf_threshold = 8 }
-        | _ -> { Config.dmp with Config.fetch_width = 4; rob_size = 128 }
-      in
-      let profile = Dmp_profile.Profile.collect linked ~input in
-      let ann = Dmp_core.Select.run linked profile in
-      let base_ok =
-        bytes (Sim.run_replay ~config:Config.baseline linked tr)
-        = bytes (Sim.run_image ~config:Config.baseline linked img)
-      in
-      let dmp_ok =
-        bytes (Sim.run_replay ~config ~annotation:ann linked tr)
-        = bytes (Sim.run_image ~config ~annotation:ann linked img)
-      in
-      base_ok && dmp_ok)
-
 let test_image_foreign_program_rejected () =
   (* An image decoded from one program must not drive a simulation of a
      smaller one: create_image validates the address range up front. *)
@@ -442,21 +387,6 @@ let test_resume_dynamic_requires_mpt_section () =
                ~config:(Config.dmp_dynamic Dmp_mpp.Mpt.small)
                linked img ck))
 
-let test_dynamic_live_replay_image_agree () =
-  let input = Helpers.uniform_input 600 in
-  let program = Helpers.freq_hammock_program ~iters:400 () in
-  let linked = Linked.link program in
-  let tr = Dmp_exec.Trace.capture linked ~input in
-  let img = Dmp_exec.Image.of_trace tr in
-  let config = Config.dmp_dynamic Dmp_mpp.Mpt.default in
-  let live = Sim.run ~config linked ~input in
-  let replay = Sim.run_replay ~config linked tr in
-  let image = Sim.run_image ~config linked img in
-  check Alcotest.string "live = replay" (stat_bytes live)
-    (stat_bytes replay);
-  check Alcotest.string "replay = image" (stat_bytes replay)
-    (stat_bytes image)
-
 let test_sampled_extrapolates_retired () =
   let input = Helpers.uniform_input 800 in
   let linked, img, ann =
@@ -626,8 +556,6 @@ let () =
       ( "properties",
         [
           QCheck_alcotest.to_alcotest qcheck_sim_terminates_and_counts;
-          QCheck_alcotest.to_alcotest qcheck_replay_equals_live;
-          QCheck_alcotest.to_alcotest qcheck_image_equals_replay;
           Alcotest.test_case "foreign image rejected" `Quick
             test_image_foreign_program_rejected;
           QCheck_alcotest.to_alcotest qcheck_dmp_never_wildly_slower;
@@ -641,8 +569,6 @@ let () =
             test_checkpoint_dynamic_mpt_roundtrip;
           Alcotest.test_case "dynamic resume needs MPT state" `Quick
             test_resume_dynamic_requires_mpt_section;
-          Alcotest.test_case "dynamic live=replay=image" `Quick
-            test_dynamic_live_replay_image_agree;
           Alcotest.test_case "foreign shape rejected" `Quick
             test_checkpoint_rejects_foreign_shape;
           Alcotest.test_case "sampled extrapolation" `Quick
