@@ -65,8 +65,10 @@ val predictions : t -> (int * int * int) list
 
 val export : t -> int array
 (** Full state: geometry header, every entry with both direction
-    paths, and the open trackers in age order — {!import} restores it
-    exactly ({!export} of the restored table is equal). *)
+    paths, and the queued trackers in age order, including a delivered
+    one that still holds its slot behind an older open one —
+    {!import} restores it exactly ({!export} of the restored table is
+    equal, and the restored table trains identically). *)
 
 val import : t -> int array -> unit
 (** @raise Invalid_argument when the snapshot's geometry does not match

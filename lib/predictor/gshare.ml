@@ -20,14 +20,14 @@ let index t ~history ~addr =
 let predict_with_history t ~history ~addr =
   t.table.(index t ~history ~addr) >= 2
 
-let predict t ~addr = predict_with_history t ~history:t.history ~addr
 let shift t ~history ~taken = History.shift t.hist history ~taken
 
-let update t ~addr ~taken =
+let resolve t ~addr ~taken =
   let i = index t ~history:t.history ~addr in
   let c = t.table.(i) in
   t.table.(i) <- (if taken then min 3 (c + 1) else max 0 (c - 1));
-  t.history <- History.shift t.hist t.history ~taken
+  t.history <- History.shift t.hist t.history ~taken;
+  c >= 2
 
 (* Flat state snapshot: global history followed by the counter table. *)
 let export t =

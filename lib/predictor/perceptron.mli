@@ -4,11 +4,13 @@ type t
 
 val create : ?entries:int -> ?history_length:int -> unit -> t
 val history : t -> int
-val predict : t -> addr:int -> bool
 val predict_with_history : t -> history:int -> addr:int -> bool
 val shift : t -> history:int -> taken:bool -> int
-val update : t -> addr:int -> taken:bool -> unit
-(** Train on the architectural outcome and shift the global history. *)
+
+val resolve : t -> addr:int -> taken:bool -> bool
+(** Resolve one architectural branch: return the prediction for [addr]
+    under the current history, train on [taken], and shift [taken] into
+    the global history. The dot product is computed once. *)
 
 val export : t -> int array
 (** Flat snapshot of the mutable state (global history + weights),

@@ -1,7 +1,6 @@
 type t = {
   name : string;
-  predict : addr:int -> bool;
-  update : addr:int -> taken:bool -> unit;
+  resolve : addr:int -> taken:bool -> bool;
   history : unit -> int;
   predict_with_history : history:int -> addr:int -> bool;
   shift_history : history:int -> taken:bool -> int;
@@ -13,8 +12,7 @@ let perceptron ?entries ?history_length () =
   let p = Perceptron.create ?entries ?history_length () in
   {
     name = "perceptron";
-    predict = (fun ~addr -> Perceptron.predict p ~addr);
-    update = (fun ~addr ~taken -> Perceptron.update p ~addr ~taken);
+    resolve = (fun ~addr ~taken -> Perceptron.resolve p ~addr ~taken);
     history = (fun () -> Perceptron.history p);
     predict_with_history =
       (fun ~history ~addr -> Perceptron.predict_with_history p ~history ~addr);
@@ -28,8 +26,7 @@ let gshare ?log2_entries ?history_length () =
   let p = Gshare.create ?log2_entries ?history_length () in
   {
     name = "gshare";
-    predict = (fun ~addr -> Gshare.predict p ~addr);
-    update = (fun ~addr ~taken -> Gshare.update p ~addr ~taken);
+    resolve = (fun ~addr ~taken -> Gshare.resolve p ~addr ~taken);
     history = (fun () -> Gshare.history p);
     predict_with_history =
       (fun ~history ~addr -> Gshare.predict_with_history p ~history ~addr);
@@ -41,8 +38,7 @@ let gshare ?log2_entries ?history_length () =
 let always ~taken =
   {
     name = (if taken then "always-taken" else "always-not-taken");
-    predict = (fun ~addr:_ -> taken);
-    update = (fun ~addr:_ ~taken:_ -> ());
+    resolve = (fun ~addr:_ ~taken:_ -> taken);
     history = (fun () -> 0);
     predict_with_history = (fun ~history:_ ~addr:_ -> taken);
     shift_history = (fun ~history ~taken:_ -> history);

@@ -1,6 +1,6 @@
 (** Uniform conditional-branch predictor interface.
 
-    [predict]/[update] drive the architectural (correct-path) stream;
+    [resolve] drives the architectural (correct-path) stream;
     [predict_with_history]/[shift_history] let the simulator's
     wrong-path and dynamic-predication fetch engines follow speculative
     predictions on a private history copy without polluting the tables.
@@ -11,11 +11,25 @@
 
 type t = {
   name : string;
-  predict : addr:int -> bool;
-  update : addr:int -> taken:bool -> unit;
+  resolve : addr:int -> taken:bool -> bool;
+      (** [resolve ~addr ~taken] handles one architectural conditional
+          branch at [addr] whose outcome is [taken]. It returns the
+          prediction made under the current global history, i.e. before
+          the outcome is known; the branch was mispredicted when the
+          result differs from [taken]. It then trains the tables on
+          [taken] and shifts [taken] into the global history. The
+          prediction is the one [predict_with_history ~history:(history
+          ()) ~addr] gives just before the call, and the perceptron
+          computes its dot product once for both the answer and the
+          training decision. *)
   history : unit -> int;
+      (** The global history that the next [resolve] predicts under. *)
   predict_with_history : history:int -> addr:int -> bool;
+      (** Prediction under a caller-supplied history; no state
+          changes. *)
   shift_history : history:int -> taken:bool -> int;
+      (** [history] with [taken] shifted in, as [resolve] would; no
+          state changes. *)
   export_state : unit -> int array;
   import_state : int array -> unit;
 }

@@ -48,9 +48,8 @@ let collect_source ?(predictor = Predictor.perceptron ())
       let s = stats_for t addr in
       s.executed <- s.executed + 1;
       if taken then s.taken <- s.taken + 1;
-      let predicted = predictor.Predictor.predict ~addr in
-      if predicted <> taken then s.mispredicted <- s.mispredicted + 1;
-      predictor.Predictor.update ~addr ~taken
+      if predictor.Predictor.resolve ~addr ~taken <> taken then
+        s.mispredicted <- s.mispredicted + 1
     end;
     (* Count entry into the next basic block: any control transfer or a
        fall into a block boundary. *)

@@ -46,9 +46,8 @@ let collect ?(predictor = Predictor.perceptron ()) ?(num_slices = 16)
                 p
           in
           ex.(slice) <- ex.(slice) + 1;
-          let predicted = predictor.Predictor.predict ~addr:e.Event.addr in
-          if predicted <> taken then mi.(slice) <- mi.(slice) + 1;
-          predictor.Predictor.update ~addr:e.Event.addr ~taken
+          if predictor.Predictor.resolve ~addr:e.Event.addr ~taken <> taken
+          then mi.(slice) <- mi.(slice) + 1
       | Event.Mem _ | Event.Call _ | Event.Return _ | Event.Plain -> ());
   let branches = Hashtbl.create 64 in
   Hashtbl.iter

@@ -167,12 +167,10 @@ let collect_source ?(predictor = Predictor.perceptron ())
     let misp = ref false in
     if is_branch then begin
       t.total_branches <- t.total_branches + 1;
-      let predicted = predictor.Predictor.predict ~addr in
-      if predicted <> taken then begin
+      if predictor.Predictor.resolve ~addr ~taken <> taken then begin
         misp := true;
         t.total_mispredicted <- t.total_mispredicted + 1
       end;
-      predictor.Predictor.update ~addr ~taken;
       if ring_depth > 0 then ring_push addr taken !misp
     end;
     match config.mode with

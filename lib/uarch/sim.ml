@@ -294,10 +294,9 @@ type branch_outcome = {
 
 let process_cond_branch t ~addr ~taken ~(info : Static_info.info) =
   let pre_history = t.predictor.Predictor.history () in
-  let predicted = t.predictor.Predictor.predict ~addr in
+  let predicted = t.predictor.Predictor.resolve ~addr ~taken in
   let est = Conf.estimate t.conf ~addr in
   let mispredicted = predicted <> taken in
-  t.predictor.Predictor.update ~addr ~taken;
   Conf.update t.conf ~addr ~taken ~mispredicted;
   t.stats.Stats.cond_branches <- t.stats.Stats.cond_branches + 1;
   if mispredicted then
@@ -880,9 +879,18 @@ let restore_arch t ck =
     invalid_arg "Sim.resume: checkpoint is for a different image";
   if core.(7) <> Array.length t.rob || core.(8) <> Array.length t.reg_ready
   then invalid_arg "Sim.resume: checkpoint is for a different configuration";
-  t.pending <- core.(3) = 1;
-  t.trace_done <- core.(4) = 1;
-  t.pos <- core.(5);
+  (* The fetch loop reads the image at [pos] unchecked once an event is
+     pending, so the position must be one [peek]/[consume] can reach. *)
+  let pending = core.(3) and trace_done = core.(4) and pos = core.(5) in
+  if pos < -1 || pos >= Image.length t.image then
+    invalid_arg "Sim.resume: trace position out of range";
+  if (pending <> 0 && pending <> 1) || (trace_done <> 0 && trace_done <> 1)
+  then invalid_arg "Sim.resume: bad core flags";
+  if Checkpoint.consumed ck <> pos + 1 - pending then
+    invalid_arg "Sim.resume: consumed count disagrees with trace position";
+  t.pending <- pending = 1;
+  t.trace_done <- trace_done = 1;
+  t.pos <- pos;
   t.consumed <- Checkpoint.consumed ck;
   t.predictor.Predictor.import_state (Checkpoint.section ck "pred");
   Conf.import t.conf (Checkpoint.section ck "conf");

@@ -113,7 +113,10 @@ val resume_image :
     [run_to_completion] on the result reproduces the original run's
     final statistics byte-identically (the round-trip property).
     @raise Invalid_argument when the checkpoint's shape fingerprints
-    (image length, ROB size, register count) do not match. *)
+    (image length, ROB size, register count) do not match, or its trace
+    position is not one a run over this image can reach: the position
+    outside [\[-1, Image.length)], a pending or trace-done flag other
+    than 0 or 1, or a consumed count other than [pos + 1 - pending]. *)
 
 val run_image_checkpointed :
   ?config:Config.t -> ?annotation:Annotation.t -> ?max_insts:int ->
@@ -147,4 +150,6 @@ val run_image_sampled :
     exactly from the checkpoint — those tables are a function of the
     consumed event prefix only, hence valid for {e any} annotation —
     while the pipeline timing starts cold. Segments no longer than
-    [warmup + window] are simulated in full instead of scaled. *)
+    [warmup + window] are simulated in full instead of scaled.
+    @raise Invalid_argument on a checkpoint {!resume_image} rejects for
+    its shape or trace position. *)

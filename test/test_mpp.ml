@@ -93,6 +93,45 @@ let test_export_import_roundtrip () =
   check Alcotest.bool "training continues identically" true
     (Mpt.export m' = Mpt.export m)
 
+(* A tracker delivered while an older one is still open (here at call
+   depth 1) keeps its queue slot until the older one closes. A snapshot
+   taken then must restore it delivered and still holding the slot: the
+   restored table continues exactly like the original. [full] delivers
+   it by a full window, otherwise by its own branch re-executing. *)
+let test_export_keeps_delivered_trackers () =
+  List.iter
+    (fun full ->
+      let m = Mpt.create Mpt.small in
+      Mpt.observe_branch m ~addr:1 ~taken:true;
+      Mpt.observe_call m ~addr:2;
+      Mpt.observe_branch m ~addr:3 ~taken:true;
+      if full then
+        for k = 0 to Mpt.small.Mpt.window - 1 do
+          Mpt.observe m ~addr:(100 + k)
+        done
+      else begin
+        Mpt.observe m ~addr:100;
+        Mpt.observe_branch m ~addr:3 ~taken:false
+      end;
+      let m' = Mpt.create Mpt.small in
+      Mpt.import m' (Mpt.export m);
+      let continue m =
+        Mpt.observe m ~addr:200;
+        Mpt.observe_branch m ~addr:4 ~taken:true;
+        Mpt.observe_branch m ~addr:5 ~taken:false;
+        Mpt.observe_ret m;
+        for k = 0 to 5 do
+          Mpt.observe m ~addr:(300 + k)
+        done
+      in
+      continue m;
+      continue m';
+      check Alcotest.bool
+        (Printf.sprintf "restored table continues identically (full=%b)" full)
+        true
+        (Mpt.export m' = Mpt.export m))
+    [ true; false ]
+
 let test_import_rejects_geometry () =
   let m = Mpt.create Mpt.small in
   feed_hammock m ~times:3;
@@ -101,6 +140,142 @@ let test_import_rejects_geometry () =
   Alcotest.check_raises "geometry mismatch"
     (Invalid_argument "Mpt.import: geometry mismatch") (fun () ->
       Mpt.import other snap)
+
+(* ---------- differential: hashed set = pairwise reference ---------- *)
+
+(* One observation of a stream driven through [Mpt] and the pairwise
+   copy in mpt_ref.ml, or a snapshot moved between them. *)
+type obs =
+  | Observe of int
+  | Branch of int * bool
+  | Call of int
+  | Ret
+  | Reload  (* export the reference, import into both *)
+  | Scramble of int array
+      (* the reference's export with every recorded path PC replaced by
+         these values (cycled), imported into both: [import] checks
+         lengths but not PCs *)
+
+let pp_obs = function
+  | Observe a -> Printf.sprintf "Observe %d" a
+  | Branch (a, t) -> Printf.sprintf "Branch (%d, %b)" a t
+  | Call a -> Printf.sprintf "Call %d" a
+  | Ret -> "Ret"
+  | Reload -> "Reload"
+  | Scramble pcs ->
+      Printf.sprintf "Scramble [%s]"
+        (String.concat ";" (Array.to_list (Array.map string_of_int pcs)))
+
+(* PCs: a small pool that repeats; a pool of four PCs per slot of the
+   table's scratch set (at least [2 * window] slots, so [8 * window]
+   PCs), where by pigeonhole most PCs share a home slot with another;
+   and extreme values. Hammock fragments (a branch, a short arm, then a
+   tail shared by both directions of that branch) make the two
+   directions' paths meet, so merge points are found, confirmed and
+   predicted; calls inside arms nest the call depth. *)
+let obs_gen (cfg : Mpt.config) =
+  let open QCheck.Gen in
+  let pc =
+    frequency
+      [
+        (6, int_bound 40);
+        (3, map (fun k -> 1000 + k) (int_bound ((8 * cfg.Mpt.window) - 1)));
+        (1, oneofl [ -1; -2; min_int; max_int; 1 lsl 40 ]);
+      ]
+  in
+  let single =
+    frequency
+      [
+        (6, map (fun a -> [ Observe a ]) pc);
+        (3, map2 (fun a t -> [ Branch (a, t) ]) (int_bound 12) bool);
+        (1, map (fun a -> [ Call a ]) pc);
+        (1, return [ Ret ]);
+        (1, return [ Reload ]);
+        ( 1,
+          map (fun l -> [ Scramble (Array.of_list l) ]) (list_size (1 -- 8) pc)
+        );
+      ]
+  in
+  let arm =
+    list_size (0 -- 6)
+      (frequency
+         [
+           (5, map (fun a -> [ Observe a ]) pc);
+           (1, map2 (fun c body -> (Call c :: body) @ [ Ret ]) pc
+                 (list_size (0 -- 3) (map (fun a -> Observe a) pc)));
+         ])
+  in
+  let hammock =
+    int_bound 7 >>= fun b ->
+    bool >>= fun taken ->
+    arm >>= fun arm ->
+    int_bound (cfg.Mpt.window + 8) >>= fun tail ->
+    return
+      ((Branch (b, taken) :: List.concat arm)
+      @ List.init tail (fun k -> Observe (500 + (50 * b) + k)))
+  in
+  map List.concat
+    (list_size (1 -- 30) (frequency [ (2, single); (3, hammock) ]))
+
+(* Overwrite every recorded path PC of an export (header, then per
+   entry six scalars and the two [window]-long paths). *)
+let scramble (cfg : Mpt.config) snap pcs =
+  let w = cfg.Mpt.window in
+  let entries = (1 lsl cfg.Mpt.log2_sets) * cfg.Mpt.ways in
+  let n = ref 0 in
+  for e = 0 to entries - 1 do
+    for k = 0 to (2 * w) - 1 do
+      snap.(9 + (e * (6 + (2 * w))) + 6 + k) <- pcs.(!n mod Array.length pcs);
+      incr n
+    done
+  done;
+  snap
+
+let qcheck_mpt_equals_reference =
+  let configs = [ ("default", Mpt.default); ("small", Mpt.small) ] in
+  QCheck.Test.make ~name:"MPT = pairwise reference on random streams"
+    ~count:40
+    (QCheck.make
+       ~print:(fun (c, obs) ->
+         Printf.sprintf "%s: %s" (fst (List.nth configs c))
+           (String.concat "; " (List.map pp_obs obs)))
+       QCheck.Gen.(
+         int_bound 1 >>= fun c ->
+         map (fun o -> (c, o)) (obs_gen (snd (List.nth configs c)))))
+    (fun (c, obs) ->
+      let cfg = snd (List.nth configs c) in
+      let m = Mpt.create cfg and r = Mpt_ref.create cfg in
+      List.for_all
+        (fun o ->
+          (match o with
+          | Observe addr ->
+              Mpt.observe m ~addr;
+              Mpt_ref.observe r ~addr
+          | Branch (addr, taken) ->
+              Mpt.observe_branch m ~addr ~taken;
+              Mpt_ref.observe_branch r ~addr ~taken
+          | Call addr ->
+              Mpt.observe_call m ~addr;
+              Mpt_ref.observe_call r ~addr
+          | Ret ->
+              Mpt.observe_ret m;
+              Mpt_ref.observe_ret r
+          | Reload ->
+              let snap = Mpt_ref.export r in
+              Mpt.import m snap;
+              Mpt_ref.import r snap
+          | Scramble pcs ->
+              let snap = scramble cfg (Mpt_ref.export r) pcs in
+              Mpt.import m snap;
+              Mpt_ref.import r snap);
+          let predictions_agree =
+            List.for_all
+              (fun addr -> Mpt.predict m ~addr = Mpt_ref.predict r ~addr)
+              (List.init 13 Fun.id)
+          in
+          (predictions_agree && Mpt.export m = Mpt_ref.export r)
+          || QCheck.Test.fail_reportf "diverged after %s" (pp_obs o))
+        obs)
 
 (* ---------- oracle = IPOSDOM ---------- *)
 
@@ -278,6 +453,9 @@ let () =
             test_export_import_roundtrip;
           Alcotest.test_case "import rejects geometry" `Quick
             test_import_rejects_geometry;
+          Alcotest.test_case "export keeps delivered trackers" `Quick
+            test_export_keeps_delivered_trackers;
+          QCheck_alcotest.to_alcotest qcheck_mpt_equals_reference;
         ] );
       ( "oracle",
         [

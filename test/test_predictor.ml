@@ -20,18 +20,15 @@ let test_history () =
 
 let train predictor outcomes =
   List.iter
-    (fun (addr, taken) ->
-      ignore (predictor.Predictor.predict ~addr);
-      predictor.Predictor.update ~addr ~taken)
+    (fun (addr, taken) -> ignore (predictor.Predictor.resolve ~addr ~taken))
     outcomes
 
 let accuracy predictor outcomes =
   let correct = ref 0 and total = ref 0 in
   List.iter
     (fun (addr, taken) ->
-      if predictor.Predictor.predict ~addr = taken then incr correct;
-      incr total;
-      predictor.Predictor.update ~addr ~taken)
+      if predictor.Predictor.resolve ~addr ~taken = taken then incr correct;
+      incr total)
     outcomes;
   float_of_int !correct /. float_of_int !total
 
@@ -59,13 +56,17 @@ let test_perceptron_speculative_no_mutation () =
   let p = Predictor.perceptron () in
   train p (biased_stream ~addr:4 ~p:0.7 ~n:200 ~seed:3);
   let h = p.Predictor.history () in
-  let before = p.Predictor.predict ~addr:4 in
+  let state = p.Predictor.export_state () in
+  let before = p.Predictor.predict_with_history ~history:h ~addr:4 in
   (* speculative queries with a private history must not disturb state *)
   let h' = p.Predictor.shift_history ~history:h ~taken:false in
   ignore (p.Predictor.predict_with_history ~history:h' ~addr:4);
   ignore (p.Predictor.predict_with_history ~history:h' ~addr:8);
-  check Alcotest.bool "prediction unchanged" before (p.Predictor.predict ~addr:4);
-  check Alcotest.int "history unchanged" h (p.Predictor.history ())
+  check Alcotest.bool "prediction unchanged" before
+    (p.Predictor.predict_with_history ~history:h ~addr:4);
+  check Alcotest.int "history unchanged" h (p.Predictor.history ());
+  check Alcotest.(array int) "tables unchanged" state
+    (p.Predictor.export_state ())
 
 (* ---------- Gshare ---------- *)
 
@@ -141,8 +142,7 @@ let qcheck_predict_total =
     (fun (addr, taken) ->
       List.for_all
         (fun p ->
-          ignore (p.Predictor.predict ~addr);
-          p.Predictor.update ~addr ~taken;
+          ignore (p.Predictor.resolve ~addr ~taken);
           true)
         [ Predictor.perceptron (); Predictor.gshare ();
           Predictor.always ~taken:true ])
@@ -155,6 +155,113 @@ let qcheck_shift_history_pure =
       let a = p.Predictor.shift_history ~history:h ~taken in
       let b = p.Predictor.shift_history ~history:h ~taken in
       a = b)
+
+(* ---------- differential: resolve = the two-pass reference ---------- *)
+
+(* One step of a stream driven through [Predictor.perceptron] and the
+   pre-[resolve] copy in perceptron_ref.ml. *)
+type step =
+  | Resolve of int * bool  (* addr, taken *)
+  | Query of int * int  (* history, addr: predict_with_history *)
+  | Ref_to_dut  (* export the reference, import into the predictor *)
+  | Dut_to_ref  (* export the predictor, import into the reference *)
+  | Load of int array  (* the same crafted snapshot into both *)
+
+let pp_step = function
+  | Resolve (a, t) -> Printf.sprintf "Resolve (%d, %b)" a t
+  | Query (h, a) -> Printf.sprintf "Query (%d, %d)" h a
+  | Ref_to_dut -> "Ref_to_dut"
+  | Dut_to_ref -> "Dut_to_ref"
+  | Load s -> Printf.sprintf "Load <history %d>" s.(0)
+
+(* Geometries: the paper's 256 x 31 and a small odd-sized table. *)
+let geometries = [ (256, 31); (13, 7) ]
+
+(* Addresses alias: a few table entries, each reached through several
+   addresses [entry + k * entries], so weight vectors are shared and
+   trained hard; some addresses are anywhere. Outcomes mix a
+   per-address bias with noise, so branches are partly learnable. A
+   crafted snapshot puts weights on and past the clamp bounds, where
+   training saturates. *)
+let steps_gen ~entries ~history_length =
+  let open QCheck.Gen in
+  let addr =
+    frequency
+      [
+        (6, map2 (fun e k -> e + (k * entries)) (int_bound 3) (int_bound 5));
+        (1, int_bound 100_000);
+      ]
+  in
+  let weight =
+    frequency
+      [
+        (4, int_range (-128) 127);
+        (2, oneofl [ -128; -127; 126; 127 ]);
+        (1, int_range (-300) 300);
+      ]
+  in
+  let step =
+    frequency
+      [
+        ( 20,
+          map2
+            (fun a noise -> Resolve (a, (a mod 3 <> 0) <> (noise = 0)))
+            addr (int_bound 4) );
+        (4, map2 (fun h a -> Query (h, a)) int addr);
+        (1, return Ref_to_dut);
+        (1, return Dut_to_ref);
+        ( 1,
+          map2
+            (fun h ws -> Load (Array.of_list (h :: ws)))
+            int
+            (list_repeat (entries * (history_length + 1)) weight) );
+      ]
+  in
+  list_size (int_range 1 300) step
+
+let qcheck_resolve_equals_reference =
+  QCheck.Test.make ~name:"resolve = predict + update reference" ~count:60
+    (QCheck.make
+       ~print:(fun (g, steps) ->
+         Printf.sprintf "geometry %d; %s" g
+           (String.concat "; " (List.map pp_step steps)))
+       QCheck.Gen.(
+         int_bound (List.length geometries - 1) >>= fun g ->
+         let entries, history_length = List.nth geometries g in
+         map (fun s -> (g, s)) (steps_gen ~entries ~history_length)))
+    (fun (g, steps) ->
+      let entries, history_length = List.nth geometries g in
+      let p = Predictor.perceptron ~entries ~history_length () in
+      let r = Perceptron_ref.create ~entries ~history_length () in
+      let same () =
+        p.Predictor.history () = Perceptron_ref.history r
+        && p.Predictor.export_state () = Perceptron_ref.export r
+      in
+      List.for_all
+        (fun step ->
+          let answers_agree =
+            match step with
+            | Resolve (addr, taken) ->
+                let expected = Perceptron_ref.predict r ~addr in
+                Perceptron_ref.update r ~addr ~taken;
+                p.Predictor.resolve ~addr ~taken = expected
+            | Query (history, addr) ->
+                p.Predictor.predict_with_history ~history ~addr
+                = Perceptron_ref.predict_with_history r ~history ~addr
+            | Ref_to_dut ->
+                p.Predictor.import_state (Perceptron_ref.export r);
+                true
+            | Dut_to_ref ->
+                Perceptron_ref.import r (p.Predictor.export_state ());
+                true
+            | Load state ->
+                p.Predictor.import_state state;
+                Perceptron_ref.import r state;
+                true
+          in
+          answers_agree && same ()
+          || QCheck.Test.fail_reportf "diverged at %s" (pp_step step))
+        steps)
 
 let () =
   Alcotest.run "dmp_predictor"
@@ -186,5 +293,6 @@ let () =
         [
           QCheck_alcotest.to_alcotest qcheck_predict_total;
           QCheck_alcotest.to_alcotest qcheck_shift_history_pure;
+          QCheck_alcotest.to_alcotest qcheck_resolve_equals_reference;
         ] );
     ]

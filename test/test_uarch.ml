@@ -336,6 +336,69 @@ let test_checkpoint_rejects_foreign_shape () =
         (fun () ->
           ignore (Sim.resume_image ~config:small ~annotation:ann linked img ck))
 
+(* A checkpoint whose trace position no run over the image can reach
+   would make the resumed fetch loop read outside the image. Every such
+   "core" section is rejected, by the exact resume and by the sampled
+   mode's architectural restore alike. *)
+let test_checkpoint_rejects_bad_position () =
+  let input = Helpers.uniform_input 400 in
+  let linked, img, ann =
+    ckpt_setup (Helpers.freq_hammock_program ~iters:300 ()) ~input
+  in
+  let _, ckpts =
+    Sim.run_image_checkpointed ~config:Config.dmp ~annotation:ann
+      ~interval:400 linked img
+  in
+  let ck =
+    match ckpts with
+    | ck :: _ -> ck
+    | [] -> Alcotest.fail "expected at least one checkpoint"
+  in
+  let module Ck = Dmp_exec.Checkpoint in
+  let len = Dmp_exec.Image.length img in
+  let core0 = Ck.section ck "core" in
+  (* [ck] with core slots 3 (pending), 4 (trace done) and 5 (pos)
+     overwritten, and the given consumed count. *)
+  let craft ?pending ?trace_done ?pos ~consumed () =
+    let core = Array.copy core0 in
+    Option.iter (fun v -> core.(3) <- v) pending;
+    Option.iter (fun v -> core.(4) <- v) trace_done;
+    Option.iter (fun v -> core.(5) <- v) pos;
+    Ck.create ~consumed
+      (List.map
+         (fun (name, a) -> if name = "core" then (name, core) else (name, a))
+         (Ck.sections ck))
+  in
+  let pos = core0.(5) and consumed = Ck.consumed ck in
+  let range = "Sim.resume: trace position out of range"
+  and flags = "Sim.resume: bad core flags"
+  and count = "Sim.resume: consumed count disagrees with trace position" in
+  List.iter
+    (fun (label, msg, bad) ->
+      Alcotest.check_raises (label ^ " (resume)") (Invalid_argument msg)
+        (fun () ->
+          ignore (Sim.resume_image ~config:Config.dmp ~annotation:ann linked
+                    img bad));
+      Alcotest.check_raises (label ^ " (sampled)") (Invalid_argument msg)
+        (fun () ->
+          ignore
+            (Sim.run_image_sampled ~config:Config.dmp ~annotation:ann
+               ~from:bad ~length:100 ~warmup:10 ~window:50 linked img)))
+    [
+      ("pending at pos -1", count, craft ~pending:1 ~pos:(-1) ~consumed:0 ());
+      ("pos below -1", range, craft ~pos:(-2) ~consumed:0 ());
+      ("pos at image length", range, craft ~pos:len ~consumed ());
+      ("pos far past the image", range, craft ~pos:max_int ~consumed ());
+      ("pending flag 2", flags, craft ~pending:2 ~consumed ());
+      ("pending flag -1", flags, craft ~pending:(-1) ~consumed ());
+      ("trace-done flag 3", flags, craft ~trace_done:3 ~consumed ());
+      ("consumed one ahead", count, craft ~consumed:(consumed + 1) ());
+      ("pending flipped", count, craft ~pending:(1 - core0.(3)) ~consumed ());
+      ("pos moved back", count, craft ~pos:(pos - 1) ~consumed ());
+    ];
+  (* The untouched checkpoint still resumes. *)
+  ignore (Sim.resume_image ~config:Config.dmp ~annotation:ann linked img ck)
+
 (* Dynamic merge-point provider: the Merge Point Table is part of the
    checkpoint, so resuming mid-run reproduces the full run exactly —
    the predictor restarts with its trained state, not cold. *)
@@ -571,6 +634,8 @@ let () =
             test_resume_dynamic_requires_mpt_section;
           Alcotest.test_case "foreign shape rejected" `Quick
             test_checkpoint_rejects_foreign_shape;
+          Alcotest.test_case "bad trace position rejected" `Quick
+            test_checkpoint_rejects_bad_position;
           Alcotest.test_case "sampled extrapolation" `Quick
             test_sampled_extrapolates_retired;
           QCheck_alcotest.to_alcotest qcheck_segment_merge_random;
