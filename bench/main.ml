@@ -39,12 +39,8 @@
                           plus a representative window per segment and
                           extrapolate (fast, estimated statistics; see
                           the sim-fidelity target for the error)
-     --sim-warmup N       sampled mode: warmup events per segment
-     --sim-window N       sampled mode: measured events per segment
-     --no-fused           disable the fused batch scheduler (annotation
-                          dedup, prefix elision, K-way lock-step
-                          kernels); output stays byte-identical, only
-                          the stage timings change *)
+     --sim-warmup N       sampled mode: warmup events per segment (≥ 0)
+     --sim-window N       sampled mode: measured events per segment *)
 
 open Dmp_experiments
 
@@ -134,21 +130,6 @@ let micro () =
              ignore
                (Dmp_uarch.Sim.run_image ~config:Dmp_uarch.Config.dmp
                   ~annotation:oracle_ann ~max_insts:100_000 linked image)));
-      (* The fused kernel at K=2 and K=8 lanes over one image pass:
-         ns/run divided by K against simulate-100k-dmp-image is the
-         per-lane saving from sharing the per-event image traffic. *)
-      Test.make ~name:"simulate-100k-dmp-fused2"
-        (Staged.stage (fun () ->
-             ignore
-               (Dmp_uarch.Sim.run_image_fused ~config:Dmp_uarch.Config.dmp
-                  ~max_insts:100_000 linked image
-                  (List.init 2 (fun _ -> (Some annotation, None))))));
-      Test.make ~name:"simulate-100k-dmp-fused8"
-        (Staged.stage (fun () ->
-             ignore
-               (Dmp_uarch.Sim.run_image_fused ~config:Dmp_uarch.Config.dmp
-                  ~max_insts:100_000 linked image
-                  (List.init 8 (fun _ -> (Some annotation, None))))));
     ]
   in
   let ols =
@@ -192,7 +173,6 @@ type opts = {
   mutable sim_sampling : bool;
   mutable sim_warmup : int;
   mutable sim_window : int;
-  mutable fused : bool;
   mutable repeat : int;
   mutable socket : string;
   mutable clients : int;
@@ -206,18 +186,19 @@ let parse_args args =
       sim_segments = None; sim_sampling = false;
       sim_warmup = Sim_fidelity.default_warmup;
       sim_window = Sim_fidelity.default_window;
-      fused = true;
       repeat = 1; socket = "dmp.sock"; clients = 4; requests = 50 }
   in
-  let positive flag rest k =
+  let int_at_least ~min ~what flag rest k =
     match rest with
     | n :: rest' -> (
         match int_of_string_opt n with
-        | Some m when m > 0 -> k m rest'
+        | Some m when m >= min -> k m rest'
         | Some _ | None ->
             usage_error (Printf.sprintf "bad %s %S" flag n))
-    | [] -> usage_error (flag ^ " needs a positive integer")
+    | [] -> usage_error (Printf.sprintf "%s needs a %s integer" flag what)
   in
+  let positive = int_at_least ~min:1 ~what:"positive" in
+  let non_negative = int_at_least ~min:0 ~what:"non-negative" in
   let rec go = function
     | [] -> ()
     | "--timings" :: rest ->
@@ -272,11 +253,8 @@ let parse_args args =
     | "--sim-sampling" :: rest ->
         o.sim_sampling <- true;
         go rest
-    | "--no-fused" :: rest ->
-        o.fused <- false;
-        go rest
     | "--sim-warmup" :: rest ->
-        positive "--sim-warmup" rest (fun n rest' ->
+        non_negative "--sim-warmup" rest (fun n rest' ->
             o.sim_warmup <- n;
             go rest')
     | "--sim-window" :: rest ->
@@ -444,8 +422,7 @@ let () =
                (List.map Dmp_workload.Registry.find)
                o.benchmarks)
           ?cache_dir:(if o.cache then Some "_cache" else None)
-          ?max_insts:o.max_insts ?jobs:o.jobs ~sim_mode:(sim_mode_of o)
-          ~fused:o.fused ()
+          ?max_insts:o.max_insts ?jobs:o.jobs ~sim_mode:(sim_mode_of o) ()
       in
       (* A fresh runner per repeat, so repeats re-run the stages (the
          persistent cache still short-circuits capture/collect where it

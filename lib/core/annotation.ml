@@ -160,12 +160,6 @@ module Compiled = struct
 
   let equal a b = String.equal (fingerprint a) (fingerprint b)
 
-  let diverge_indices table =
-    let acc = ref [] in
-    for i = Array.length table - 1 downto 0 do
-      if table.(i) <> None then acc := i :: !acc
-    done;
-    !acc
 end
 
 let cfm_index c addr =

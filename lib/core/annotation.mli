@@ -97,10 +97,6 @@ module Compiled : sig
 
   val equal : compiled option array -> compiled option array -> bool
   (** Behavioural equality: {!fingerprint} agreement. *)
-
-  val diverge_indices : compiled option array -> int list
-  (** Slot indices holding a compiled diverge branch, ascending — the
-      addresses at which the table can influence a simulation. *)
 end
 
 val is_cfm : compiled -> int -> bool

@@ -32,15 +32,6 @@ let create ~consumed sections =
 let consumed t = t.consumed
 let sections t = t.sections
 
-let latest_at_or_before cks ~consumed:limit =
-  List.fold_left
-    (fun best ck ->
-      if ck.consumed > limit then best
-      else
-        match best with
-        | Some b when b.consumed >= ck.consumed -> best
-        | Some _ | None -> Some ck)
-    None cks
 let section_opt t name = List.assoc_opt name t.sections
 
 let section t name =

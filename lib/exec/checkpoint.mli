@@ -17,13 +17,6 @@ val consumed : t -> int
 (** Trace events consumed before the snapshot was taken — the segment
     boundary this checkpoint represents. *)
 
-val latest_at_or_before : t list -> consumed:int -> t option
-(** The checkpoint with the greatest {!consumed} not exceeding the
-    limit, or [None] when every checkpoint is past it. Ties resolve to
-    the earliest such element. The fused sweep's prefix elision uses it
-    to pick the deepest reference checkpoint still on an annotation's
-    shared prefix. *)
-
 val sections : t -> (string * int array) list
 val section : t -> string -> int array
 (** @raise Invalid_argument when the section is absent. *)

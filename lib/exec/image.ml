@@ -33,23 +33,17 @@ type t = {
   len : int;
   complete : bool;
   max_addr : int;  (* largest [addr]; -1 when the image is empty *)
-  first_at : int array;  (* per address: first event index, or [len] *)
 }
 
 let length t = t.len
 let complete t = t.complete
 let max_addr t = t.max_addr
 
-let first_index t addr =
-  if addr < 0 || addr >= Array.length t.first_at then t.len
-  else Array.unsafe_get t.first_at addr
-
 let byte_size t =
   Bigarray.Array1.size_in_bytes t.addr + Bigarray.Array1.size_in_bytes t.next
   + Bigarray.Array1.size_in_bytes t.tag
   + Bigarray.Array1.size_in_bytes t.p1
   + Bigarray.Array1.size_in_bytes t.p2
-  + (8 * Array.length t.first_at)
 
 let create_int n = Bigarray.Array1.create Bigarray.int Bigarray.c_layout n
 
@@ -84,16 +78,8 @@ let of_trace trace =
         (if Trace.is_cond_branch c then Trace.p2 c else 0)
     end
   done;
-  (* First occurrence per address: a reverse scan leaves the smallest
-     event index in each slot; absent addresses keep the sentinel [n].
-     The fused-sweep scheduler uses this to bound how far a simulation
-     can run before a given annotation's diverge branches appear. *)
-  let first_at = Array.make (!max_a + 1) n in
-  for i = n - 1 downto 0 do
-    Array.unsafe_set first_at (Bigarray.Array1.unsafe_get addr i) i
-  done;
   { addr; next; tag; p1; p2; len = n; complete = Trace.complete trace;
-    max_addr = !max_a; first_at }
+    max_addr = !max_a }
 
 (* ---------- decoding (tests, debugging) ---------- *)
 

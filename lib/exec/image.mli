@@ -32,8 +32,6 @@ type t = private {
   len : int;
   complete : bool;
   max_addr : int;
-  first_at : int array;  (** per address: first event index, or [len]
-      when the address never occurs — use {!first_index} *)
 }
 
 val of_trace : Trace.t -> t
@@ -51,13 +49,6 @@ val max_addr : t -> int
 (** Largest instruction address appearing in the image, or -1 when
     empty. Consumers indexing a per-address table validate its size
     against this once, then index unchecked. *)
-
-val first_index : t -> int -> int
-(** Index of the first event at the given instruction address, or
-    {!length} when the address never occurs (including out-of-range
-    addresses). A simulation that has consumed at most
-    [first_index img a] events has not yet consumed address [a] — the
-    bound the fused sweep's shared-prefix elision relies on. *)
 
 val byte_size : t -> int
 (** Allocated bytes of the decoded buffers (~33 B per event; the

@@ -49,10 +49,6 @@ type value =
   | VStats of Stats.t
   | VCkpts of Checkpoint.t list
   | VAnn of Dmp_core.Annotation.t
-  | VElide of Stats.t * Checkpoint.t list
-      (* an annotation-free reference run under the *actual* simulation
-         config: its final statistics plus its checkpoints, shared by
-         the fused scheduler's prefix elision *)
   | VTransform of Dmp_transform.Pipeline.result
       (* the software-predication pipeline's output for one
          (benchmark, input set, pass config) *)
@@ -66,7 +62,6 @@ type t = {
   cache : Disk_cache.t option;
   jobs : int option;
   sim_mode : sim_mode;
-  fused : bool;
   mem : value Mem_cache.t;
   timings : (string, timing) Hashtbl.t;
   timings_lock : Mutex.t;
@@ -82,7 +77,7 @@ let validate_sim_mode = function
         invalid_arg "Runner: Sampled needs warmup >= 0 and window >= 1"
 
 let create ?(benchmarks = Registry.all) ?max_insts ?cache_dir ?jobs
-    ?(sim_mode = Exact) ?(fused = true) ?mem_budget () =
+    ?(sim_mode = Exact) ?mem_budget () =
   validate_sim_mode sim_mode;
   let entries = Hashtbl.create 32 in
   List.iter
@@ -100,7 +95,6 @@ let create ?(benchmarks = Registry.all) ?max_insts ?cache_dir ?jobs
     cache;
     jobs;
     sim_mode;
-    fused;
     mem = Mem_cache.create ?budget:mem_budget ~name:"stages" ();
     timings = Hashtbl.create 8;
     timings_lock = Mutex.create ();
@@ -149,8 +143,8 @@ let timed t stage f =
   Fun.protect ~finally f
 
 (* Bump a stage's call counter without attributing wall time — for
-   accounting events (dedup hits, elided lanes) whose cost is the point:
-   approximately zero. *)
+   accounting events (dedup hits) whose cost is the point: approximately
+   zero. *)
 let counted t stage n =
   if n > 0 then begin
     Mutex.lock t.timings_lock;
@@ -503,7 +497,7 @@ let sampled_segment_tasks total ckpts =
 
 let merge_deltas deltas = List.fold_left Stats.merge (Stats.create ()) deltas
 
-(* ---------- annotation dedup + prefix elision (fused scheduler) ----------
+(* ---------- annotation dedup ----------
 
    A DMP simulation's statistics are a pure function of
    (trace, configuration, simulation mode, compiled annotation table).
@@ -525,16 +519,30 @@ let mode_str = function
   | Sampled { segments; warmup; window } ->
       Printf.sprintf "sampled:%d:%d:%d" segments warmup window
 
-let key_dmpstats name set config mode fp =
-  Printf.sprintf "dmpstats/%s/%s/%s/%s/%s" name (set_str set)
-    (config_digest config) (mode_str mode) fp
-
 let compile_annotation linked ann =
   Dmp_core.Annotation.compile ~size:(Linked.size linked) ann
 
 let annotation_fingerprint t name ann =
   Dmp_core.Annotation.Compiled.fingerprint
     (compile_annotation (linked t name) ann)
+
+let key_dmpstats t name set config mode ann =
+  Printf.sprintf "dmpstats/%s/%s/%s/%s/%s" name (set_str set)
+    (config_digest config) (mode_str mode) (annotation_fingerprint t name ann)
+
+(* The dedup memo, shared by [dmp_batch] and [dmp_memo]: a hit answers
+   [requests] tasks, each counted as a dedup hit; stored and returned
+   statistics are copies, so no caller can alias the memo. *)
+let memo_find t key ~requests =
+  match Mem_cache.find t.mem key with
+  | Some (VStats s) ->
+      counted t "dmp (dedup hit)" requests;
+      Some s
+  | Some _ | None -> None
+
+let memo_add t key s =
+  Mem_cache.add t.mem key ~size:(Mem_cache.approx_size s)
+    (VStats (Stats.copy s))
 
 (* ---------- software-predication (transformed-program) stages ----------
 
@@ -750,65 +758,6 @@ let transformed_dmp ?(tconfig = Pass_config.default) ?(set = Input_gen.Reduced)
             (VStats (Stats.copy s));
           s)
 
-(* Prefix elision: an annotation-free run and a run under annotation
-   [A] evolve through byte-identical machine states until the first
-   *consumed* image event whose address carries a compiled diverge
-   branch of [A] — the table is consulted nowhere else (wrong-side
-   walkers and recovery fetch never read it). A checkpoint of the
-   annotation-free reference run at [consumed <= fo(A)] (fo = first
-   image index of any compiled diverge address of [A]) is therefore an
-   exact state of [A]'s own run, and a lane resumed from it finishes
-   with statistics byte-identical to the from-scratch simulation. When
-   fo(A) is past the (possibly capped) image end, the annotation never
-   fires at all and the reference run's statistics *are* the lane's. *)
-
-let elide_segments = 32
-let elide_min_interval = 10_000
-
-let effective_len img max_insts =
-  match max_insts with
-  | Some m -> min m (Image.length img)
-  | None -> Image.length img
-
-let elide_interval effective = max elide_min_interval (effective / elide_segments)
-
-let key_elide name set config interval =
-  Printf.sprintf "elide/%s/%s/%s/%d" name (set_str set)
-    (config_digest config) interval
-
-(* Caller must hold [e.lock]. One annotation-free reference run under
-   the actual config, checkpointed; memoized per
-   (benchmark, set, config, interval). *)
-let elide_capture_locked t e set config interval =
-  let key = key_elide e.spec.Spec.name set config interval in
-  match Mem_cache.find t.mem key with
-  | Some (VElide (s, cks)) -> (s, cks)
-  | Some _ | None ->
-      let linked = linked_locked t e in
-      let img = image_locked t e set in
-      let s, cks =
-        timed t "ckpt (elide)" (fun () ->
-            Sim.run_image_checkpointed ~config ?max_insts:t.max_insts
-              ~interval linked img)
-      in
-      Mem_cache.add t.mem key
-        ~size:
-          (Mem_cache.approx_size s
-          + List.fold_left (fun a c -> a + Checkpoint.byte_size c) 0 cks)
-        (VElide (s, cks));
-      (s, cks)
-
-(* One distinct simulation of a batch: the representative annotation,
-   its memo key, the compiled diverge addresses (for the elision bound)
-   and the task slots its statistics fan out to. *)
-type group = {
-  g_name : string;
-  g_ann : Dmp_core.Annotation.t;
-  g_key : string;
-  g_addrs : int list;
-  mutable g_indices : int list;  (* result slots, reverse order *)
-}
-
 (* How independent per-segment simulations are spread; polymorphic so
    one fanner serves both segment task shapes. *)
 type fanner = { fan : 'a 'b. ('a -> 'b) -> 'a list -> 'b list }
@@ -863,234 +812,71 @@ let dmp_with ~fan:{ fan } ?(set = Input_gen.Reduced) ?(config = Config.dmp) ?mod
 let dmp ?set ?config ?mode t name annotation =
   dmp_with ~fan:{ fan = List.map } ?set ?config ?mode t name annotation
 
-(* Split a list into consecutive chunks of (at most) [w] elements. *)
-let rec chunk w = function
-  | [] -> []
-  | xs ->
-      let rec take n acc = function
-        | tl when n = 0 -> (List.rev acc, tl)
-        | [] -> (List.rev acc, [])
-        | x :: tl -> take (n - 1) (x :: acc) tl
-      in
-      let c, rest = take w [] xs in
-      c :: chunk w rest
-
-(* The legacy batch: every task simulated independently, spread across
-   the pool. Kept verbatim as the reference the fused scheduler is
-   byte-compared against (bench [--no-fused], CI's cmp check). *)
-let dmp_batch_unfused ~set ~config ~mode t tasks =
-  (* Each simulation is independent and deterministic, and [Pool.map]
-     returns results in submission order, so the caller sees the exact
-     list a sequential [List.map] over [dmp] would produce — with any
-     [-j 1] / [-j N] difference invisible in the output. Shared inputs
-     (linked program, trace, image) are memoized under the entry lock,
-     so concurrent tasks of one benchmark derive them exactly once.
-     Under a segment-splitting mode each task additionally fans its
-     segments onto the same pool (a nested, re-entrant [Pool.map]), so
-     even a single benchmark's simulation spreads across the workers. *)
-  Pool.with_pool ?jobs:t.jobs (fun pool ->
-      let fan = { fan = (fun f xs -> Pool.map pool ~f xs) } in
-      Pool.map pool
-        ~f:(fun (name, annotation) ->
-          dmp_with ~fan ~set ~config ~mode t name annotation)
-        tasks)
+(* One distinct simulation of a batch: the representative task, its
+   memo key and the task slots its statistics go to. *)
+type group = {
+  g_name : string;
+  g_ann : Dmp_core.Annotation.t;
+  g_key : string;
+  mutable g_slots : int list;  (* reverse order *)
+}
 
 let dmp_batch ?(set = Input_gen.Reduced) ?(config = Config.dmp) ?mode t tasks =
   let mode = Option.value mode ~default:t.sim_mode in
   validate_sim_mode mode;
-  if not t.fused then dmp_batch_unfused ~set ~config ~mode t tasks
-  else begin
-    (* Fused scheduler. Dedup first: fingerprint every task's compiled
-       annotation and collapse behaviourally identical tasks into one
-       group per memo key, preserving first-occurrence order. Each
-       group is simulated at most once (or not at all, on a memo hit
-       from an earlier batch); its statistics fan out as copies to
-       every requesting slot, so the result list is byte-identical to
-       the unfused batch in task order. *)
-    let n = List.length tasks in
-    let results : Stats.t option array = Array.make n None in
-    let groups_tbl : (string, group) Hashtbl.t = Hashtbl.create 32 in
-    let order = ref [] in
-    List.iteri
-      (fun i (name, ann) ->
-        let e = entry t name in
-        let linked = with_lock e (fun () -> linked_locked t e) in
-        let compiled = compile_annotation linked ann in
-        let fp = Dmp_core.Annotation.Compiled.fingerprint compiled in
-        let key = key_dmpstats name set config mode fp in
-        match Hashtbl.find_opt groups_tbl key with
-        | Some g -> g.g_indices <- i :: g.g_indices
-        | None ->
-            let g =
-              {
-                g_name = name;
-                g_ann = ann;
-                g_key = key;
-                g_addrs = Dmp_core.Annotation.Compiled.diverge_indices compiled;
-                g_indices = [ i ];
-              }
-            in
-            Hashtbl.replace groups_tbl key g;
-            order := g :: !order)
-      tasks;
-    let deliver g s =
-      List.iter (fun i -> results.(i) <- Some (Stats.copy s)) g.g_indices
-    in
-    let publish g s =
-      Mem_cache.add t.mem g.g_key ~size:(Mem_cache.approx_size s)
-        (VStats (Stats.copy s));
-      deliver g s;
-      counted t "dmp (dedup hit)" (List.length g.g_indices - 1)
-    in
-    let pending =
-      List.filter
-        (fun g ->
-          match Mem_cache.find t.mem g.g_key with
-          | Some (VStats s) ->
-              deliver g s;
-              counted t "dmp (dedup hit)" (List.length g.g_indices);
-              false
-          | Some _ | None -> true)
-        (List.rev !order)
-    in
-    (match mode with
-    | Segmented _ | Sampled _ ->
-        (* The segment-splitting modes already share their expensive
-           state (reference checkpoints) across tasks; dedup alone
-           collapses the batch, the representatives run unfused. *)
-        Pool.with_pool ?jobs:t.jobs (fun pool ->
-            let fan = { fan = (fun f xs -> Pool.map pool ~f xs) } in
-            let stats =
-              Pool.map pool
-                ~f:(fun g -> dmp_with ~fan ~set ~config ~mode t g.g_name g.g_ann)
-                pending
-            in
-            List.iter2 publish pending stats)
-    | Exact ->
-        (* Group the representatives by benchmark, plan each
-           benchmark's lanes (prefix elision), then run K-wide fused
-           kernels across the pool. *)
-        let by_bench : (string, group list ref) Hashtbl.t = Hashtbl.create 8 in
-        let border = ref [] in
-        List.iter
-          (fun g ->
-            match Hashtbl.find_opt by_bench g.g_name with
-            | Some l -> l := g :: !l
-            | None ->
-                Hashtbl.replace by_bench g.g_name (ref [ g ]);
-                border := g.g_name :: !border)
-          pending;
-        let benches = List.rev !border in
-        let jobs =
-          match t.jobs with Some j -> j | None -> Pool.default_jobs ()
-        in
-        Pool.with_pool ?jobs:t.jobs (fun pool ->
-            (* Phase 1 — one planning task per benchmark. Decide
-               whether a prefix-elision capture pays for itself: the
-               capture is one full annotation-free run, so it must save
-               more simulated events than it costs. Groups whose
-               compiled diverge branches never occur in the (capped)
-               image are delivered straight from the capture's own
-               statistics; the rest become lanes, elided ones starting
-               from the latest reference checkpoint at or before their
-               first diverge occurrence. *)
-            let plans =
-              Pool.map pool
-                ~f:(fun name ->
-                  let gs = List.rev !(Hashtbl.find by_bench name) in
-                  let e = entry t name in
-                  let img = with_lock e (fun () -> image_locked t e set) in
-                  let effective = effective_len img t.max_insts in
-                  let interval = elide_interval effective in
-                  let fos =
-                    List.map
-                      (fun g ->
-                        ( g,
-                          List.fold_left
-                            (fun m a -> min m (Image.first_index img a))
-                            max_int g.g_addrs ))
-                      gs
-                  in
-                  let savings =
-                    List.fold_left
-                      (fun acc (_, fo) ->
-                        acc
-                        + (if fo >= effective then effective
-                           else fo / interval * interval))
-                      0 fos
-                  in
-                  let have_capture =
-                    match
-                      Mem_cache.find t.mem (key_elide name set config interval)
-                    with
-                    | Some (VElide _) -> true
-                    | Some _ | None -> false
-                  in
-                  let capture =
-                    if have_capture || savings > effective then
-                      Some
-                        (with_lock e (fun () ->
-                             elide_capture_locked t e set config interval))
-                    else None
-                  in
-                  let lanes =
-                    List.filter_map
-                      (fun (g, fo) ->
-                        match capture with
-                        | Some (cs, _) when fo >= effective ->
-                            publish g cs;
-                            counted t "dmp (elide skip)" 1;
-                            None
-                        | Some (_, cks) ->
-                            let from =
-                              Checkpoint.latest_at_or_before cks ~consumed:fo
-                            in
-                            if from <> None then counted t "dmp (elided lane)" 1;
-                            Some (g, from)
-                        | None -> Some (g, None))
-                      fos
-                  in
-                  (* Lanes starting near each other retire together, so
-                     sort by start position before chunking: a kernel's
-                     stride loop then wastes no lock-step iterations on
-                     an already-finished lane. *)
-                  let lanes =
-                    List.stable_sort
-                      (fun (_, a) (_, b) ->
-                        let c = function
-                          | None -> 0
-                          | Some ck -> Checkpoint.consumed ck
-                        in
-                        compare (c a) (c b))
-                      lanes
-                  in
-                  let width =
-                    max 1 (min 8 ((List.length lanes + jobs - 1) / jobs))
-                  in
-                  List.map (fun c -> (name, c)) (chunk width lanes))
-                benches
-            in
-            (* Phase 2 — the fused kernels, one pool task each. *)
-            Pool.run pool
-              (List.map
-                 (fun (name, lanes) () ->
-                   let e = entry t name in
-                   let linked, img =
-                     with_lock e (fun () ->
-                         (linked_locked t e, image_locked t e set))
-                   in
-                   let stats =
-                     timed t "dmp (simulate fused)" (fun () ->
-                         Sim.run_image_fused ~config ?max_insts:t.max_insts
-                           linked img
-                           (List.map
-                              (fun (g, from) -> (Some g.g_ann, from))
-                              lanes))
-                   in
-                   List.iter2 (fun (g, _) s -> publish g s) lanes stats)
-                 (List.concat plans))));
-    Array.to_list (Array.map Option.get results)
-  end
+  (* Group the tasks by memo key, in first-occurrence order: each group
+     is simulated at most once (not at all on a memo hit from an earlier
+     batch), and its statistics go, as copies, to every slot that asked
+     for them. *)
+  let groups : (string, group) Hashtbl.t = Hashtbl.create 32 in
+  let order = ref [] in
+  List.iteri
+    (fun i (name, ann) ->
+      let key = key_dmpstats t name set config mode ann in
+      match Hashtbl.find_opt groups key with
+      | Some g -> g.g_slots <- i :: g.g_slots
+      | None ->
+          let g = { g_name = name; g_ann = ann; g_key = key; g_slots = [ i ] } in
+          Hashtbl.replace groups key g;
+          order := g :: !order)
+    tasks;
+  let results = Array.make (List.length tasks) None in
+  let deliver g s =
+    List.iter (fun i -> results.(i) <- Some (Stats.copy s)) g.g_slots
+  in
+  let pending =
+    List.filter
+      (fun g ->
+        match memo_find t g.g_key ~requests:(List.length g.g_slots) with
+        | Some s ->
+            deliver g s;
+            false
+        | None -> true)
+      (List.rev !order)
+  in
+  (* Each simulation is independent and deterministic, and [Pool.map]
+     returns results in submission order, so the batch returns exactly
+     what a sequential [List.map] over [dmp] would — with any [-j 1] /
+     [-j N] difference invisible in the output. Shared inputs (linked
+     program, trace, image) are memoized under the entry lock, so
+     concurrent tasks of one benchmark derive them exactly once. Under a
+     segment-splitting mode each task additionally fans its segments
+     onto the same pool (a nested, re-entrant [Pool.map]), so even a
+     single benchmark's simulation spreads across the workers. *)
+  Pool.with_pool ?jobs:t.jobs (fun pool ->
+      let fan = { fan = (fun f xs -> Pool.map pool ~f xs) } in
+      let stats =
+        Pool.map pool
+          ~f:(fun g -> dmp_with ~fan ~set ~config ~mode t g.g_name g.g_ann)
+          pending
+      in
+      List.iter2
+        (fun g s ->
+          memo_add t g.g_key s;
+          deliver g s;
+          counted t "dmp (dedup hit)" (List.length g.g_slots - 1))
+        pending stats);
+  Array.to_list (Array.map Option.get results)
 
 (* Memoized single simulation: same dedup memo as {!dmp_batch}, for
    callers that arrive one request at a time (the serving daemon). *)
@@ -1098,20 +884,12 @@ let dmp_memo ?(set = Input_gen.Reduced) ?(config = Config.dmp) ?mode t name
     annotation =
   let mode = Option.value mode ~default:t.sim_mode in
   validate_sim_mode mode;
-  let e = entry t name in
-  let linked = with_lock e (fun () -> linked_locked t e) in
-  let fp =
-    Dmp_core.Annotation.Compiled.fingerprint (compile_annotation linked annotation)
-  in
-  let key = key_dmpstats name set config mode fp in
-  match Mem_cache.find t.mem key with
-  | Some (VStats s) ->
-      counted t "dmp (dedup hit)" 1;
-      Stats.copy s
-  | Some _ | None ->
+  let key = key_dmpstats t name set config mode annotation in
+  match memo_find t key ~requests:1 with
+  | Some s -> Stats.copy s
+  | None ->
       let s = dmp ~set ~config ~mode t name annotation in
-      Mem_cache.add t.mem key ~size:(Mem_cache.approx_size s)
-        (VStats (Stats.copy s));
+      memo_add t key s;
       s
 
 let prefetch ?(profile_sets = [ Input_gen.Reduced ])

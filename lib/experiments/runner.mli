@@ -37,8 +37,7 @@ type sim_mode =
 
 val create :
   ?benchmarks:Spec.t list -> ?max_insts:int -> ?cache_dir:string ->
-  ?jobs:int -> ?sim_mode:sim_mode -> ?fused:bool -> ?mem_budget:int ->
-  unit -> t
+  ?jobs:int -> ?sim_mode:sim_mode -> ?mem_budget:int -> unit -> t
 (** Defaults to the full 17-benchmark suite with uncapped simulations.
     [max_insts] caps trace capture, profiling and simulation alike (for
     quick runs and tests). When [cache_dir] is given, traces, profiles
@@ -50,11 +49,7 @@ val create :
     every stage inline on the calling domain. The produced statistics
     and report output are byte-identical for every [jobs] value.
     [sim_mode] (default [Exact]) selects how {!dmp} / {!dmp_batch}
-    simulate; {!baseline} always runs exactly. [fused] (default [true])
-    enables the fused batch scheduler in {!dmp_batch} — annotation
-    dedup, prefix elision and K-way lock-step kernels; [~fused:false]
-    restores the one-simulation-per-task batch, with byte-identical
-    results either way.
+    simulate; {!baseline} always runs exactly.
 
     Every stage value (traces, decoded images, exact and sampled
     profiles, baseline statistics, selections, reference checkpoints)
@@ -165,37 +160,27 @@ val dmp :
 val dmp_batch :
   ?set:Input_gen.set -> ?config:Config.t -> ?mode:sim_mode -> t ->
   (string * Dmp_core.Annotation.t) list -> Stats.t list
-(** [dmp] over every (benchmark, annotation) task, spread across a
-    {!Dmp_exec.Pool} of the runner's [jobs] workers. Results match the
-    order of the tasks, and each simulation is deterministic, so the
-    batch returns exactly what the sequential [List.map] would — the
-    figure harnesses use it for their independent per-variant sims.
-    Under [Segmented] / [Sampled] each task additionally fans its
-    per-segment simulations onto the same pool with a nested
-    (re-entrant) [Pool.map]. The first exception raised by any task is
-    re-raised after the batch settles.
+(** [dmp] over every (benchmark, annotation) task, with annotation
+    dedup. Tasks whose compiled annotations share a behavioural
+    fingerprint ({!Dmp_core.Annotation.Compiled}) under one
+    (benchmark, set, config, mode) form one group; each group is
+    simulated once, exactly as {!dmp} would, and its statistics go as
+    copies to every task slot of the group. A group already simulated
+    by an earlier batch (or {!dmp_memo}) is answered from the
+    runner-wide memo without simulating. A batch adds one
+    ["dmp (simulate)"] call per simulation it runs and one
+    ["dmp (dedup hit)"] call per other task, so the two rows grow by
+    exactly the number of tasks submitted.
 
-    With the runner's [fused] flag set (the default), the batch is
-    scheduled rather than mapped — with byte-identical results:
-    {ul
-    {- {e annotation dedup}: tasks whose compiled annotations share a
-       behavioural fingerprint ({!Dmp_core.Annotation.Compiled}) under
-       one (benchmark, set, config, mode) are simulated once; the
-       statistics fan out as copies, and repeats across batches hit the
-       runner-wide memo (stage ["dmp (dedup hit)"]).}
-    {- {e prefix elision} (Exact mode): per benchmark, one
-       annotation-free reference run under the actual configuration is
-       checkpointed (stage ["ckpt (elide)"], taken only when the
-       predicted savings exceed its cost); a representative whose first
-       compiled diverge branch occurs at image index [fo] starts from
-       the latest checkpoint at or before [fo] (["dmp (elided lane)"])
-       — and one that never fires inside the (capped) image is answered
-       by the reference run's own statistics (["dmp (elide skip)"]).}
-    {- {e K-way fusion} (Exact mode): surviving lanes are sorted by
-       start position and chunked into {!Dmp_uarch.Sim.run_image_fused}
-       kernels (stage ["dmp (simulate fused)"]) sized to keep all
-       [jobs] workers busy, paying the per-event image traffic once per
-       kernel instead of once per lane.}} *)
+    The distinct simulations are spread across a {!Dmp_exec.Pool} of
+    the runner's [jobs] workers. Results match the order of the tasks,
+    and each simulation is deterministic, so the batch returns exactly
+    what the sequential [List.map] over [dmp] would — the figure
+    harnesses use it for their per-variant sims. Under [Segmented] /
+    [Sampled] each simulation additionally fans its per-segment runs
+    onto the same pool with a nested (re-entrant) [Pool.map]. The
+    first exception raised by any task is re-raised after the batch
+    settles. *)
 
 val dmp_memo :
   ?set:Input_gen.set -> ?config:Config.t -> ?mode:sim_mode -> t -> string ->
@@ -239,11 +224,9 @@ val amean : float list -> float
     mode). A warm persistent cache is visible as the
     capture/collect/simulate rows dropping to zero calls.
 
-    The fused batch scheduler adds ["dmp (simulate fused)"] (one call
-    per K-way kernel), ["ckpt (elide)"] (annotation-free reference
-    captures for prefix elision) and the zero-cost accounting rows
-    ["dmp (dedup hit)"], ["dmp (elided lane)"] and ["dmp (elide skip)"]
-    (calls counted, no wall time attributed). ["image (decode)"] counts
+    ["dmp (dedup hit)"] is an accounting row (calls counted, no wall
+    time attributed): the {!dmp_batch} / {!dmp_memo} requests answered
+    without a simulation. ["image (decode)"] counts
     actual trace decodes — at most one per (benchmark, input set,
     instruction cap) per process, across every runner and simulation
     mode, thanks to a process-global weak memo of decoded images. *)

@@ -14,9 +14,10 @@
            and simulated on the DMP machine — software removes the
            cheap hammocks, hardware covers what remains.
 
-   The hardware column goes through one Runner.dmp_batch so the fused
-   scheduler sees every benchmark at once; the transformed-program
-   columns fan per benchmark over a pool of the runner's width. Every
+   The hardware column goes through one Runner.dmp_batch, so its
+   simulations share the runner's pool and dedup memo; the
+   transformed-program columns fan per benchmark over a pool of the
+   runner's width. Every
    stage is deterministic and both fan-outs preserve submission order,
    so the report is byte-identical for any -j value. *)
 

@@ -100,11 +100,9 @@ type t = {
   mutable consumed : int;
 }
 
-(* [create_image] with the caller-supplied static-info table: the fused
-   sweep derives it once per kernel and shares it — read-only — across
-   every lane over the same linked program. *)
-let create_image_with ~sinfo ?(config = Config.baseline) ?annotation
-    ?(max_insts = max_int) image =
+let create_image ?(config = Config.baseline) ?annotation
+    ?(max_insts = max_int) linked image =
+  let sinfo = Static_info.of_linked linked in
   (* One bounds check here licenses the unchecked static-info and
      diverge-table indexing in [fetch_image_cycle]. *)
   if Image.max_addr image >= Static_info.size sinfo then
@@ -143,10 +141,6 @@ let create_image_with ~sinfo ?(config = Config.baseline) ?annotation
     max_insts;
     consumed = 0;
   }
-
-let create_image ?config ?annotation ?max_insts linked image =
-  create_image_with ~sinfo:(Static_info.of_linked linked) ?config ?annotation
-    ?max_insts image
 
 (* ---------- correct-path supply ----------
 
@@ -908,12 +902,10 @@ let restore_arch t ck =
   | None -> ());
   core
 
-(* Restore the full machine state (timing included) into a freshly
-   created simulation over the same image — the body of [resume_image],
-   shared with the fused kernel's per-lane checkpoint starts. *)
-let resume_into t ck =
+let resume_image ?config ?annotation ?max_insts linked image ck =
+  let t = create_image ?config ?annotation ?max_insts linked image in
   (* An exact resume must reproduce the capturing run byte-identically,
-     so a dynamic-provider lane cannot silently start its predictor
+     so a dynamic-provider run cannot silently start its predictor
      cold from a static-provider checkpoint. *)
   (match t.mpt with
   | Some _ when Checkpoint.section_opt ck "mpt" = None ->
@@ -936,69 +928,6 @@ let resume_into t ck =
   Array.blit reg 0 t.reg_ready 0 (Array.length reg);
   Stats.load t.stats (Checkpoint.section ck "stats");
   t
-
-let resume_image ?config ?annotation ?max_insts linked image ck =
-  resume_into (create_image ?config ?annotation ?max_insts linked image) ck
-
-(* ---------- fused multi-annotation sweep ----------
-
-   K lanes advance in lock-step strides of consumed events over one
-   shared image pass. Lanes are fully independent machines — each owns
-   its predictor, confidence estimator, caches, ROB and statistics; the
-   sharing is the image buffers, the linked program and one
-   [Static_info] table, all read-only. Each lane therefore executes
-   exactly the [step_cycle] sequence its solo run would, so its
-   statistics are byte-identical to [run_image] (or to
-   [resume_image] + [run_to_completion] for checkpoint-started lanes);
-   the fusion wins by keeping the shared per-event buffers hot across
-   lanes instead of streaming the whole image through the cache once
-   per annotation. *)
-
-let fused_stride = 32_768
-
-let run_image_fused ?config ?max_insts linked image lanes =
-  match lanes with
-  | [] -> []
-  | _ ->
-      let sinfo = Static_info.of_linked linked in
-      let sims =
-        Array.of_list
-          (List.map
-             (fun (annotation, from) ->
-               let t =
-                 create_image_with ~sinfo ?config ?annotation ?max_insts image
-               in
-               match from with None -> t | Some ck -> resume_into t ck)
-             lanes)
-      in
-      (* Per-lane cycle guards: each lane gets the same [max_sim_cycles]
-         budget its solo [run_to_completion] would. *)
-      let guards = Array.map (fun _ -> 0) sims in
-      let front = ref 0 in
-      let all_done = ref (Array.for_all finished sims) in
-      while not !all_done do
-        front := !front + fused_stride;
-        all_done := true;
-        Array.iteri
-          (fun i t ->
-            let g = ref guards.(i) in
-            (* Once the lane's trace is done, [consumed] stops moving
-               and the stride bound no longer binds: the loop drains the
-               ROB to [finished], exactly like a solo run's tail. *)
-            while
-              (not (finished t))
-              && t.consumed < !front
-              && !g < max_sim_cycles
-            do
-              incr g;
-              step_cycle t
-            done;
-            guards.(i) <- !g;
-            if (not (finished t)) && !g < max_sim_cycles then
-              all_done := false)
-          sims
-      done;
-      Array.to_list (Array.map finalize sims)
 
 (* Capture rule shared by the checkpointing run and the segment stop
    rule (they must trigger at exactly the same machine states): the

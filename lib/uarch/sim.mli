@@ -62,33 +62,6 @@ val merge_predictions : t -> (int * int * int) list
     invariant checker validates each predicted merge point against the
     true CFG. *)
 
-val run_image_fused :
-  ?config:Config.t -> ?max_insts:int -> Linked.t -> Image.t ->
-  (Annotation.t option * Dmp_exec.Checkpoint.t option) list -> Stats.t list
-(** Fused multi-annotation sweep: advance one simulator lane per list
-    element in lock-step strides of consumed events over a single
-    shared image pass. Every lane owns its complete microarchitectural
-    state (predictor, confidence estimator, caches, ROB, statistics);
-    the image buffers, linked program and one shared [Static_info]
-    table are read-only, so each lane executes exactly the cycle
-    sequence of its solo run. Lane [i]'s statistics are byte-identical
-    to [run_image ?config ~annotation linked image] — or, when a
-    checkpoint is given, to [resume_image] over that checkpoint
-    followed by [run_to_completion]. The fusion pays the per-event
-    image traffic once per stride for all lanes instead of once per
-    annotation.
-
-    Checkpoint contract (what the runner's prefix-elision planner
-    guarantees): a lane's checkpoint must have been captured over the
-    same image, configuration and [max_insts] by a run whose behaviour
-    matches the lane's own up to the capture point — e.g. an
-    annotation-free run, provided no diverge branch of the lane's
-    compiled annotation occurs in the image before
-    [Checkpoint.consumed]; only then is the resumed lane's tail (and
-    hence its statistics) identical to its from-scratch run.
-    @raise Invalid_argument on an image/configuration mismatch, as
-    {!create_image} / {!resume_image}. *)
-
 (** {2 Checkpoints}
 
     A checkpoint ({!Dmp_exec.Checkpoint}) snapshots the full machine

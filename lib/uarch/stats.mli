@@ -60,8 +60,7 @@ val copy : t -> t
 
 val equal : t -> t -> bool
 (** Fieldwise equality of every counter — what "byte-identical
-    statistics" means throughout the fused-sweep and checkpoint
-    equivalence tests. *)
+    statistics" means throughout the checkpoint equivalence tests. *)
 
 val scale_round : float -> t -> t
 (** Every counter multiplied by the factor and rounded to nearest, as a

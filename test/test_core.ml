@@ -516,26 +516,6 @@ let test_fingerprint_properties () =
   check Alcotest.bool "dropping a diverge branch is visible" true
     (base <> fp dropped)
 
-let test_fingerprint_diverge_indices () =
-  let linked = Linked.link (Helpers.freq_hammock_program ()) in
-  let profile =
-    Dmp_profile.Profile.collect linked ~input:(Helpers.uniform_input 2100)
-  in
-  let ann = Select.run linked profile in
-  let size = Linked.size linked in
-  let expected =
-    List.sort compare
-      (List.filter (fun a -> a >= 0 && a < size) (Annotation.diverge_addrs ann))
-  in
-  check
-    Alcotest.(list int)
-    "diverge_indices = in-range diverge addresses, ascending" expected
-    (Annotation.Compiled.diverge_indices (compiled_of linked ann));
-  check
-    Alcotest.(list int)
-    "empty annotation has no indices" []
-    (Annotation.Compiled.diverge_indices (compiled_of linked (Annotation.empty ())))
-
 let test_annotation_parse_errors () =
   List.iter
     (fun text ->
@@ -858,8 +838,6 @@ let () =
             test_annotation_parse_errors;
           Alcotest.test_case "fingerprint properties" `Quick
             test_fingerprint_properties;
-          Alcotest.test_case "fingerprint diverge indices" `Quick
-            test_fingerprint_diverge_indices;
           Alcotest.test_case "compile edge cases" `Quick
             test_compile_edge_cases;
         ] );

@@ -130,9 +130,36 @@ let test_parallel_prefetch_equivalence () =
         = stats_bytes (Runner.baseline par name)))
     (Runner.names seq)
 
+let stage_calls runner stage =
+  match
+    List.find_opt (fun (s, _, _) -> s = stage) (Runner.timings runner)
+  with
+  | Some (_, calls, _) -> calls
+  | None -> 0
+
+(* [ann] rebuilt with every merge probability changed: selection
+   metadata the simulator never reads, so the twin compiles to the same
+   behavioural fingerprint and the batch dedups it with [ann]. *)
+let meta_tweaked ann =
+  let a = Dmp_core.Annotation.empty () in
+  Dmp_core.Annotation.fold
+    (fun d () ->
+      Dmp_core.Annotation.add a
+        {
+          d with
+          Dmp_core.Annotation.cfms =
+            List.map
+              (fun c -> { c with Dmp_core.Annotation.merge_prob = 0.123 })
+              d.Dmp_core.Annotation.cfms;
+        })
+    ann ();
+  a
+
 (* The DMP sweep itself must be jobs-invariant: a 4-worker dmp_batch
    returns the same statistics in the same order as the inline [-j 1]
-   runner, and both match sequential per-task [dmp] calls. *)
+   runner, and both match sequential per-task [dmp] calls. A repeated
+   task and a metadata-only twin make the batch dedup, so every slot of
+   a deduped group must still receive its own task's statistics. *)
 let test_parallel_dmp_batch_equivalence () =
   let mk jobs =
     Runner.create ~benchmarks:(quad_benchmarks ()) ~max_insts:80_000 ~jobs ()
@@ -143,16 +170,20 @@ let test_parallel_dmp_batch_equivalence () =
       (fun name ->
         let linked = Runner.linked r name in
         let profile = Runner.profile r name Input_gen.Reduced in
+        let heur = Dmp_core.Select.run linked profile in
         [
-          (name, Dmp_core.Select.run linked profile);
+          (name, heur);
           (name, Dmp_core.Select.run ~config:Dmp_core.Select.all_cost linked
                    profile);
+          (name, heur);
+          (name, meta_tweaked heur);
         ])
       (Runner.names r)
   in
   let seq = List.map (fun (n, a) -> Runner.dmp r1 n a) (tasks r1) in
   let batch1 = Runner.dmp_batch r1 (tasks r1) in
-  let batch4 = Runner.dmp_batch r4 (tasks r4) in
+  let tasks4 = tasks r4 in
+  let batch4 = Runner.dmp_batch r4 tasks4 in
   check Alcotest.int "batch covers every task" (List.length seq)
     (List.length batch4);
   List.iteri
@@ -165,14 +196,14 @@ let test_parallel_dmp_batch_equivalence () =
         (Printf.sprintf "task %d: -j 4 batch = sequential" i)
         true
         (stats_bytes s = stats_bytes (List.nth batch4 i)))
-    seq
-
-let stage_calls runner stage =
-  match
-    List.find_opt (fun (s, _, _) -> s = stage) (Runner.timings runner)
-  with
-  | Some (_, calls, _) -> calls
-  | None -> 0
+    seq;
+  (* Conservation on the fresh runner: every task is either simulated
+     or answered by a dedup hit, never both and never neither. *)
+  check Alcotest.int "simulations + dedup hits = tasks"
+    (List.length tasks4)
+    (stage_calls r4 "dmp (simulate)" + stage_calls r4 "dmp (dedup hit)");
+  check Alcotest.bool "the repeat and the twin were deduped" true
+    (stage_calls r4 "dmp (dedup hit)" >= 2 * List.length (Runner.names r4))
 
 (* ---------- segmented / sampled simulation modes ---------- *)
 
@@ -626,12 +657,7 @@ let test_cache_bytes_env () =
             | Ok _ -> false))
         [ "0"; "-5"; "lots"; "1.5" ])
 
-(* ---------- fused batch scheduler ---------- *)
-
-let fused_runner ?(fused = true) ?(jobs = 1) () =
-  Runner.create
-    ~benchmarks:[ Registry.find "vpr"; Registry.find "li" ]
-    ~max_insts:120_000 ~jobs ~fused ()
+(* ---------- batch dedup ---------- *)
 
 (* N behaviourally identical tasks collapse onto one simulation; a
    repeat batch is answered entirely from the fingerprint memo. The
@@ -639,34 +665,18 @@ let fused_runner ?(fused = true) ?(jobs = 1) () =
    rebuilt with different merge probabilities fingerprints (and
    simulates) as the original. *)
 let test_batch_dedup_counters () =
-  let r = fused_runner () in
+  let r = small_runner () in
   let ann =
     Dmp_core.Select.run (Runner.linked r "li")
       (Runner.profile r "li" Input_gen.Reduced)
   in
-  let meta_tweaked =
-    let a = Dmp_core.Annotation.empty () in
-    Dmp_core.Annotation.fold
-      (fun d () ->
-        Dmp_core.Annotation.add a
-          {
-            d with
-            Dmp_core.Annotation.cfms =
-              List.map
-                (fun c -> { c with Dmp_core.Annotation.merge_prob = 0.123 })
-                d.Dmp_core.Annotation.cfms;
-          })
-      ann ();
-    a
-  in
-  let tasks = [ ("li", ann); ("li", meta_tweaked); ("li", ann) ] in
+  let tasks = [ ("li", ann); ("li", meta_tweaked ann); ("li", ann) ] in
   let batch = Runner.dmp_batch r tasks in
-  check Alcotest.int "one fused kernel" 1
-    (stage_calls r "dmp (simulate fused)");
+  check Alcotest.int "one simulation" 1 (stage_calls r "dmp (simulate)");
   check Alcotest.int "two dedup hits" 2 (stage_calls r "dmp (dedup hit)");
   let batch' = Runner.dmp_batch r tasks in
   check Alcotest.int "repeat batch simulates nothing" 1
-    (stage_calls r "dmp (simulate fused)");
+    (stage_calls r "dmp (simulate)");
   check Alcotest.int "repeat batch is all memo hits" 5
     (stage_calls r "dmp (dedup hit)");
   let solo = Runner.dmp r "li" ann in
@@ -675,96 +685,6 @@ let test_batch_dedup_counters () =
       check Alcotest.bool "deduped stats byte-identical to solo" true
         (stats_bytes s = stats_bytes solo))
     (batch @ batch')
-
-(* Same task list through the fused scheduler and the legacy
-   one-simulation-per-task batch: byte-identical results in task
-   order, with the fused runner provably simulating less. *)
-let test_fused_matches_unfused_batch () =
-  let mk fused =
-    Runner.create
-      ~benchmarks:[ Registry.find "vpr"; Registry.find "li" ]
-      ~max_insts:120_000 ~jobs:2 ~fused ()
-  in
-  let rf = mk true and ru = mk false in
-  let tasks r =
-    List.concat_map
-      (fun name ->
-        let linked = Runner.linked r name in
-        let p = Runner.profile r name Input_gen.Reduced in
-        let a1 = Dmp_core.Select.run linked p in
-        let a2 = Dmp_core.Select.run ~config:Dmp_core.Select.all_cost linked p in
-        (* duplicate on purpose: the fused batch must dedup it, the
-           unfused batch simulates it again *)
-        [ (name, a1); (name, a2); (name, a1) ])
-      (Runner.names r)
-  in
-  let bf = Runner.dmp_batch rf (tasks rf) in
-  let bu = Runner.dmp_batch ru (tasks ru) in
-  check Alcotest.int "same task count" (List.length bu) (List.length bf);
-  List.iteri
-    (fun i b ->
-      check Alcotest.bool (Printf.sprintf "task %d: fused = unfused" i) true
-        (stats_bytes (List.nth bf i) = stats_bytes b))
-    bu;
-  check Alcotest.bool "fused batch deduped the repeats" true
-    (stage_calls rf "dmp (dedup hit)" >= 2);
-  check Alcotest.int "unfused batch never dedups" 0
-    (stage_calls ru "dmp (dedup hit)")
-
-(* Prefix elision, forced end-to-end: two annotations whose (distinct)
-   diverge branches sit on addresses the capped trace never executes.
-   The planner's predicted savings (2x the full run) exceed the one
-   reference capture, so the batch must answer both from the capture's
-   own statistics without running a single lane — and those statistics
-   must be byte-identical to a plain simulation, since a never-firing
-   annotation cannot alter behaviour. *)
-let test_batch_prefix_elision () =
-  let r = fused_runner () in
-  let linked = Runner.linked r "li" in
-  let img = Runner.image r "li" Input_gen.Reduced in
-  let len = Dmp_exec.Image.length img in
-  let cold =
-    let rec scan a acc =
-      if a < 0 || List.length acc >= 2 then acc
-      else if Dmp_exec.Image.first_index img a >= len then scan (a - 1) (a :: acc)
-      else scan (a - 1) acc
-    in
-    scan (Dmp_ir.Linked.size linked - 1) []
-  in
-  check Alcotest.int "found two never-executed addresses" 2 (List.length cold);
-  let mk addr =
-    let a = Dmp_core.Annotation.empty () in
-    Dmp_core.Annotation.add a
-      {
-        Dmp_core.Annotation.branch_addr = addr;
-        kind = Dmp_core.Annotation.Simple_hammock;
-        cfms =
-          [
-            {
-              Dmp_core.Annotation.cfm_addr = addr;
-              exact = true;
-              merge_prob = 0.5;
-              select_uops = 2;
-            };
-          ];
-        return_cfm = false;
-        always_predicate = false;
-        loop = None;
-      };
-    a
-  in
-  let batch = Runner.dmp_batch r (List.map (fun a -> ("li", mk a)) cold) in
-  check Alcotest.int "one reference capture" 1 (stage_calls r "ckpt (elide)");
-  check Alcotest.int "both tasks answered by elide skip" 2
-    (stage_calls r "dmp (elide skip)");
-  check Alcotest.int "no fused kernel ran" 0
-    (stage_calls r "dmp (simulate fused)");
-  let plain = Runner.dmp r "li" (Dmp_core.Annotation.empty ()) in
-  List.iter
-    (fun s ->
-      check Alcotest.bool "elided stats = plain dmp-config run" true
-        (stats_bytes s = stats_bytes plain))
-    batch
 
 (* The process-global image memo: a second runner over the same
    (benchmark, set, cap) shares the first runner's decoded image
@@ -803,21 +723,19 @@ let test_report_render () =
 
 (* The three-way sweep mixes static batches with per-geometry dynamic
    batches: its rendered report must stay byte-identical across worker
-   counts and with the fused scheduler off. *)
+   counts. *)
 let test_cfm_comparison_invariance () =
-  let render ~jobs ~fused =
+  let render ~jobs =
     let r =
       Runner.create
         ~benchmarks:[ Registry.find "li"; Registry.find "compress" ]
-        ~max_insts:60_000 ~jobs ~fused ()
+        ~max_insts:60_000 ~jobs ()
     in
     Cfm_comparison.render (Cfm_comparison.run ~periods:[ 1_000 ] r)
   in
-  let j1 = render ~jobs:1 ~fused:true in
-  let j4 = render ~jobs:4 ~fused:true in
-  let unfused = render ~jobs:4 ~fused:false in
+  let j1 = render ~jobs:1 in
+  let j4 = render ~jobs:4 in
   check Alcotest.string "-j1 = -j4" j1 j4;
-  check Alcotest.string "fused = unfused" j1 unfused;
   List.iter
     (fun needle ->
       check Alcotest.bool (needle ^ " row present") true
@@ -887,14 +805,11 @@ let () =
       ( "fused batch",
         [
           Alcotest.test_case "dedup counters" `Slow test_batch_dedup_counters;
-          Alcotest.test_case "fused = unfused" `Slow
-            test_fused_matches_unfused_batch;
-          Alcotest.test_case "prefix elision" `Slow test_batch_prefix_elision;
           Alcotest.test_case "global image memo" `Slow test_global_image_memo;
         ] );
       ( "cfm comparison",
         [
-          Alcotest.test_case "jobs/fused invariance" `Slow
+          Alcotest.test_case "jobs invariance" `Slow
             test_cfm_comparison_invariance;
           Alcotest.test_case "warm-up column" `Slow
             test_cfm_comparison_warmup_column;

@@ -500,90 +500,6 @@ let qcheck_segment_merge_random =
       stat_bytes ck_stats = stat_bytes full
       && stat_bytes merged = stat_bytes full)
 
-(* ---------- fused multi-annotation sweeps ---------- *)
-
-let fused_setup n salt =
-  let st = Random.State.make [| n; salt |] in
-  let program = Helpers.random_program st ~nblocks:n in
-  let linked = Linked.link program in
-  let input = Helpers.uniform_input 64 in
-  let tr = Dmp_exec.Trace.capture linked ~input in
-  let img = Dmp_exec.Image.of_trace tr in
-  let profile = Dmp_profile.Profile.collect linked ~input in
-  let ann = Dmp_core.Select.run linked profile in
-  (linked, img, ann)
-
-let fused_matches_solo ~config linked img lanes =
-  let fused = Sim.run_image_fused ~config linked img lanes in
-  List.for_all2
-    (fun (annotation, _) s ->
-      stat_bytes s
-      = stat_bytes (Sim.run_image ~config ?annotation linked img))
-    lanes fused
-
-let qcheck_fused_equals_solo =
-  QCheck.Test.make
-    ~name:"fused lanes reproduce solo runs bit-for-bit (K = 1, 2, 4, 8)"
-    ~count:16
-    QCheck.(pair (int_range 2 14) (int_range 0 3))
-    (fun (n, k_ix) ->
-      let linked, img, ann = fused_setup n (211 + k_ix) in
-      let k = [| 1; 2; 4; 8 |].(k_ix) in
-      (* Mix annotated and annotation-free lanes in one kernel, so
-         lanes with genuinely different behaviour advance in
-         lock-step. *)
-      let lanes =
-        List.init k (fun i -> ((if i mod 2 = 0 then Some ann else None), None))
-      in
-      fused_matches_solo ~config:Config.dmp linked img lanes)
-
-(* The runner's prefix-elision plan, emulated at the simulator level:
-   checkpoint an annotation-free reference run under the actual
-   configuration, then start the annotated lane from the latest
-   checkpoint at or before the first image occurrence of any of its
-   compiled diverge addresses (the lane and the reference run are in
-   byte-identical states there — the diverge table has not been
-   consulted yet). Fused with a from-scratch lane and an
-   annotation-free lane resumed from the last checkpoint, every lane
-   must finish byte-identical to its solo run. *)
-let qcheck_fused_elided_equals_solo =
-  QCheck.Test.make
-    ~name:"prefix-elided fused lanes reproduce solo runs bit-for-bit"
-    ~count:15
-    QCheck.(int_range 2 14)
-    (fun n ->
-      let linked, img, ann = fused_setup n 223 in
-      let config = Config.dmp in
-      let len = Dmp_exec.Image.length img in
-      let interval = max 1 (len / 6) in
-      let _, cks = Sim.run_image_checkpointed ~config ~interval linked img in
-      let compiled =
-        Dmp_core.Annotation.compile ~size:(Linked.size linked) ann
-      in
-      let fo =
-        List.fold_left
-          (fun m a -> min m (Dmp_exec.Image.first_index img a))
-          max_int
-          (Dmp_core.Annotation.Compiled.diverge_indices compiled)
-      in
-      let from = Dmp_exec.Checkpoint.latest_at_or_before cks ~consumed:fo in
-      let last = Dmp_exec.Checkpoint.latest_at_or_before cks ~consumed:len in
-      let lanes = [ (Some ann, from); (Some ann, None); (None, last) ] in
-      fused_matches_solo ~config linked img lanes)
-
-let test_fused_empty_and_mixed_configs () =
-  let input = Helpers.uniform_input 500 in
-  let linked, img, ann =
-    ckpt_setup (Helpers.freq_hammock_program ~iters:300 ()) ~input
-  in
-  check Alcotest.bool "empty lane list" true
-    (Sim.run_image_fused linked img [] = []);
-  (* A single lane is exactly the solo run, for a non-default
-     configuration too. *)
-  let config = { Config.dmp with Config.conf_threshold = 8 } in
-  check Alcotest.bool "single lane, custom config" true
-    (fused_matches_solo ~config linked img [ (Some ann, None) ])
-
 let () =
   Alcotest.run "dmp_uarch"
     [
@@ -639,12 +555,5 @@ let () =
           Alcotest.test_case "sampled extrapolation" `Quick
             test_sampled_extrapolates_retired;
           QCheck_alcotest.to_alcotest qcheck_segment_merge_random;
-        ] );
-      ( "fused",
-        [
-          Alcotest.test_case "empty and custom-config lanes" `Quick
-            test_fused_empty_and_mixed_configs;
-          QCheck_alcotest.to_alcotest qcheck_fused_equals_solo;
-          QCheck_alcotest.to_alcotest qcheck_fused_elided_equals_solo;
         ] );
     ]
