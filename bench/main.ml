@@ -11,11 +11,6 @@
                                     `dmp serve` daemon
 
    Options:
-     --repeat N           run the target list N times in one process
-                          (a fresh runner per repeat, so the stages
-                          really re-run; the persistent cache still
-                          applies) and report per-stage min/median
-                          seconds to stderr; stdout prints once
      --socket PATH        serve-load: daemon socket (default dmp.sock)
      --clients N          serve-load: concurrent client connections
      --requests N         serve-load: requests per client
@@ -31,6 +26,7 @@
      --timings            print a per-stage wall-clock summary to stderr
      --timings-json FILE  write the per-stage timings to FILE as JSON
      --no-cache           do not read or write the persistent _cache/
+                          (traces, profiles, baseline and DMP statistics)
      --sim-segments N     split every DMP simulation into N segments at
                           checkpoint boundaries and fan them across the
                           pool; output stays byte-identical to the
@@ -173,7 +169,6 @@ type opts = {
   mutable sim_sampling : bool;
   mutable sim_warmup : int;
   mutable sim_window : int;
-  mutable repeat : int;
   mutable socket : string;
   mutable clients : int;
   mutable requests : int;
@@ -186,7 +181,7 @@ let parse_args args =
       sim_segments = None; sim_sampling = false;
       sim_warmup = Sim_fidelity.default_warmup;
       sim_window = Sim_fidelity.default_window;
-      repeat = 1; socket = "dmp.sock"; clients = 4; requests = 50 }
+      socket = "dmp.sock"; clients = 4; requests = 50 }
   in
   let int_at_least ~min ~what flag rest k =
     match rest with
@@ -260,10 +255,6 @@ let parse_args args =
     | "--sim-window" :: rest ->
         positive "--sim-window" rest (fun n rest' ->
             o.sim_window <- n;
-            go rest')
-    | "--repeat" :: rest ->
-        positive "--repeat" rest (fun n rest' ->
-            o.repeat <- n;
             go rest')
     | "--socket" :: rest -> (
         match rest with
@@ -344,38 +335,6 @@ let serve_load o =
   Printf.printf "server latency: %s\n" (H.summary server_h);
   if Atomic.get errors > 0 then exit 1
 
-(* Per-stage min/median seconds across --repeat runs. Stages absent
-   from a repeat (e.g. a disk-cache hit replacing a capture) count as
-   0 s for that repeat, which is what they cost. *)
-let repeat_summary reps =
-  let stages =
-    List.concat_map (List.map (fun (s, _, _) -> s)) reps
-    |> List.sort_uniq compare
-  in
-  let b = Buffer.create 512 in
-  Printf.bprintf b "== Stage timings over %d repeats (seconds) ==\n"
-    (List.length reps);
-  Printf.bprintf b "%-26s %10s %10s\n" "stage" "min" "median";
-  List.iter
-    (fun stage ->
-      let secs =
-        List.map
-          (fun rep ->
-            match List.find_opt (fun (s, _, _) -> s = stage) rep with
-            | Some (_, _, sec) -> sec
-            | None -> 0.)
-          reps
-        |> List.sort compare |> Array.of_list
-      in
-      let n = Array.length secs in
-      let median =
-        if n mod 2 = 1 then secs.(n / 2)
-        else (secs.((n / 2) - 1) +. secs.(n / 2)) /. 2.
-      in
-      Printf.bprintf b "%-26s %10.3f %10.3f\n" stage secs.(0) median)
-    stages;
-  Buffer.contents b
-
 let sim_mode_of o =
   if o.sim_sampling then
     Runner.Sampled
@@ -415,7 +374,7 @@ let () =
         unknown;
       if unknown <> [] then prerr_endline (valid_targets_msg ());
       if known = [] then exit 2;
-      let make_runner () =
+      let runner =
         Runner.create
           ?benchmarks:
             (Option.map
@@ -424,31 +383,15 @@ let () =
           ?cache_dir:(if o.cache then Some "_cache" else None)
           ?max_insts:o.max_insts ?jobs:o.jobs ~sim_mode:(sim_mode_of o) ()
       in
-      (* A fresh runner per repeat, so repeats re-run the stages (the
-         persistent cache still short-circuits capture/collect where it
-         applies); stdout prints once so a --repeat run's output stays
-         comparable to a single run's. *)
-      let reps = ref [] in
-      let last = ref None in
-      for i = 1 to o.repeat do
-        let runner = make_runner () in
-        Runner.prefetch ~profile_sets:(Targets.profile_sets known) runner;
-        List.iter
-          (fun t ->
-            match Targets.render runner t with
-            | Ok s ->
-                if i = 1 then begin
-                  print_string s;
-                  print_newline ()
-                end
-            | Error msg ->
-                if i = 1 then Printf.eprintf "bench: %s\n" msg)
-          known;
-        reps := Runner.timings runner :: !reps;
-        last := Some runner
-      done;
-      let runner = Option.get !last in
-      if o.repeat > 1 then prerr_string (repeat_summary (List.rev !reps));
+      Runner.prefetch ~profile_sets:(Targets.profile_sets known) runner;
+      List.iter
+        (fun t ->
+          match Targets.render runner t with
+          | Ok s ->
+              print_string s;
+              print_newline ()
+          | Error msg -> Printf.eprintf "bench: %s\n" msg)
+        known;
       if o.timings then prerr_string (Runner.timing_summary runner);
       Option.iter
         (fun file ->

@@ -584,7 +584,10 @@ let serve_cmd =
   let cache_dir_arg =
     Arg.(value & opt (some string) None
            & info [ "cache-dir" ]
-               ~doc:"Persist traces/profiles/baselines in this disk cache.")
+               ~doc:
+                 "Persist traces, profiles, baseline statistics and DMP \
+                  statistics in this disk cache, so a restarted daemon \
+                  answers repeated run requests without simulating.")
   in
   let run socket tcp jobs mem_budget response_budget cache_dir max_insts =
     (* The daemon is long-lived: oversubscribing its domains would

@@ -36,14 +36,14 @@ let env_max_bytes () =
             (Printf.sprintf "DMP_CACHE_BYTES must be a positive integer, got %S"
                s))
 
-(* Bump when the emulator, profiler, predictor or simulator change in a
-   way that alters profiles or baseline statistics: the fingerprint
-   below only sees data that is explicit in the key. *)
-let format_version = 2
-
+(* Everything a cached value depends on besides its entry key: the
+   code that computed it (a build-time digest of the sources of every
+   library the runner is built from), the compiler that marshalled it,
+   the selection parameters, the baseline machine and the instruction
+   cap. *)
 let fingerprint ~max_insts =
   let key =
-    ( format_version,
+    ( Dmp_code_digest.value,
       Sys.ocaml_version,
       Dmp_core.Params.default,
       Dmp_core.Params.for_cost_model,
@@ -132,6 +132,7 @@ let read_atime file =
       | { Unix.st_mtime; _ } -> Some (st_mtime, 0)
       | exception Unix.Unix_error _ -> None)
 
+(* Every payload entry under the root, with its size in bytes. *)
 let cache_entries root =
   let subdirs =
     match Sys.readdir root with
@@ -152,10 +153,8 @@ let cache_entries root =
                  && not (is_tmp n))
           |> List.filter_map (fun n ->
                  let file = Filename.concat d n in
-                 match (Unix.stat file, read_atime file) with
-                 | { Unix.st_size; _ }, Some atime ->
-                     Some (file, st_size, atime)
-                 | _, None -> None
+                 match Unix.stat file with
+                 | { Unix.st_size; _ } -> Some (file, st_size)
                  | exception Unix.Unix_error _ -> None)
       | exception Sys_error _ -> [])
     subdirs
@@ -164,15 +163,21 @@ let remove_entry file =
   (try Sys.remove file with Sys_error _ -> ());
   try Sys.remove (file ^ atime_suffix) with Sys_error _ -> ()
 
+(* A store under the cap only sums sizes; the sidecars are read, and
+   the entries ordered by last use, only once the total exceeds it. *)
 let enforce_cap t =
   match t.max_bytes with
   | None -> ()
   | Some cap ->
       let entries = cache_entries t.root in
-      let total = List.fold_left (fun a (_, s, _) -> a + s) 0 entries in
+      let total = List.fold_left (fun a (_, s) -> a + s) 0 entries in
       if total > cap then begin
         let oldest_first =
-          List.sort (fun (_, _, a) (_, _, b) -> compare a b) entries
+          List.filter_map
+            (fun (file, size) ->
+              Option.map (fun atime -> (file, size, atime)) (read_atime file))
+            entries
+          |> List.sort (fun (_, _, a) (_, _, b) -> compare a b)
         in
         let excess = ref (total - cap) in
         List.iter
@@ -246,13 +251,12 @@ let load_profile t linked ~bench ~set =
 let store_profile t ~bench ~set profile =
   store t ~bench ~set ~kind:"profile" (Profile.to_raw profile)
 
-(* Sampled/reconstructed profiles: mode, period, seed and the sampler
-   format version are folded into the entry kind (and so the filename),
-   so entries for different sampling parameters can never shadow each
-   other or the exact profile. *)
+(* Sampled/reconstructed profiles: mode, period and seed are folded
+   into the entry kind (and so the filename), so entries for different
+   sampling parameters can never shadow each other or the exact
+   profile. *)
 let sampled_kind sampling =
-  Printf.sprintf "sprofile%d-%s" Dmp_sampling.Sampler.format_version
-    (Dmp_sampling.Sampler.config_to_string sampling)
+  "sprofile-" ^ Dmp_sampling.Sampler.config_to_string sampling
 
 let load_sampled_profile t linked ~bench ~set ~sampling =
   Option.map (Profile.of_raw linked)
@@ -272,3 +276,13 @@ let load_trace t ~bench ~set : Trace.t option =
 
 let store_trace t ~bench ~set (trace : Trace.t) =
   store t ~bench ~set ~kind:"trace" trace
+
+(* DMP statistics, one entry per simulation key: the key is long and
+   full of separators, so the entry kind holds its digest. *)
+let stats_kind key = "dmp-" ^ Digest.to_hex (Digest.string key)
+
+let load_stats t ~bench ~set ~key : Stats.t option =
+  load t ~bench ~set ~kind:(stats_kind key)
+
+let store_stats t ~bench ~set ~key (stats : Stats.t) =
+  store t ~bench ~set ~kind:(stats_kind key) stats

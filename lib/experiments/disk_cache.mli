@@ -1,19 +1,21 @@
 (** Persistent on-disk cache for the expensive pipeline stages.
 
-    Profiles and baseline statistics are stored under
-    [dir/<fingerprint>/<benchmark>-<input set>.<kind>], where the
-    fingerprint digests the cache format version, the selection /
-    cost-model parameters, the baseline machine configuration and the
-    [max_insts] cap — changing any of these invalidates every entry at
+    Traces, profiles, baseline statistics and DMP statistics are stored
+    under [dir/<fingerprint>/<benchmark>-<input set>.<kind>], where the
+    fingerprint digests the code that computes them
+    ({!Dmp_code_digest.value}, a build-time digest of the sources of
+    every library in [dmp_experiments]' closure), the OCaml version,
+    the selection / cost-model parameters, the baseline machine
+    configuration and the [max_insts] cap. Changing any of these,
+    including any edit to those sources, invalidates every entry at
     once by moving the cache to a fresh subdirectory. Entries carry a
     digest of their payload; a truncated, tampered-with or otherwise
     unreadable entry loads as [None] and the caller recomputes.
 
-    Packed traces persist here too; their pre-decoded
-    {!Dmp_exec.Image} form deliberately does not — an image is ~8x the
-    trace's bytes and decoding the cached trace in-memory
-    ({!Runner.image}) is cheaper than reading the flat form back from
-    disk. *)
+    The pre-decoded {!Dmp_exec.Image} form of a trace is not persisted
+    — an image is ~8x the trace's bytes and decoding the cached trace
+    in-memory ({!Runner.image}) is cheaper than reading the flat form
+    back from disk. *)
 
 open Dmp_ir
 open Dmp_exec
@@ -40,7 +42,8 @@ val create :
     the historical behaviour). Every store re-checks the cap and evicts
     the least-recently-used entries (ordered by a per-entry [.atime]
     sidecar file, rewritten on every load and store; entries predating
-    the sidecars order by mtime) until the total fits. Eviction is
+    the sidecars order by mtime) until the total fits; a store that
+    leaves the total under the cap reads only file sizes. Eviction is
     crash- and race-tolerant: concurrent loads of an evicted entry are
     ordinary misses and never raise.
     @raise Invalid_argument when no [max_bytes] is given and
@@ -63,9 +66,10 @@ val load_sampled_profile :
   sampling:Dmp_sampling.Sampler.config ->
   Profile.t option
 (** Profiles reconstructed from sparse hardware samples. The sampling
-    mode, period, seed and the sampler format version are part of the
-    entry kind, so every distinct sampling configuration gets its own
-    entry and can never serve a stale value for another. *)
+    mode, period and seed are part of the entry kind
+    (["sprofile-<mode>-p<period>-s<seed>"]), so every distinct sampling
+    configuration gets its own entry and can never serve a stale value
+    for another. *)
 
 val store_sampled_profile :
   t ->
@@ -87,3 +91,14 @@ val load_trace : t -> bench:string -> set:Input_gen.set -> Trace.t option
     re-emulating. *)
 
 val store_trace : t -> bench:string -> set:Input_gen.set -> Trace.t -> unit
+
+val load_stats :
+  t -> bench:string -> set:Input_gen.set -> key:string -> Stats.t option
+(** DMP statistics of one simulation, stored under the entry kind
+    ["dmp-<md5 of key>"]. [key] must identify the simulation completely
+    apart from what the fingerprint already pins: the runner uses its
+    dedup-memo key (benchmark, input set, configuration digest, sim mode
+    and compiled-annotation fingerprint). *)
+
+val store_stats :
+  t -> bench:string -> set:Input_gen.set -> key:string -> Stats.t -> unit

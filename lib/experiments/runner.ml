@@ -1,7 +1,7 @@
 (* Shared experiment pipeline with caching of the expensive stages
-   (linking, trace capture, profiling, baseline simulation) across
-   figures. The architectural emulator runs once per (benchmark, input
-   set): its event stream is captured into a packed [Trace.t] under the
+   (linking, trace capture, profiling, baseline and DMP simulation)
+   across figures. The architectural emulator runs once per (benchmark,
+   input set): its event stream is captured into a packed [Trace.t] under the
    per-benchmark lock; the trace is decoded once into a flat [Image.t]
    and every later baseline / dmp call replays the image (profiling
    still walks the packed trace — it runs once per pair anyway).
@@ -128,31 +128,26 @@ let entry t name =
   | Some e -> e
   | None -> invalid_arg ("Runner: unknown benchmark " ^ name)
 
+let record t stage ~calls seconds =
+  Mutex.lock t.timings_lock;
+  (match Hashtbl.find_opt t.timings stage with
+  | Some tm ->
+      tm.calls <- tm.calls + calls;
+      tm.seconds <- tm.seconds +. seconds
+  | None -> Hashtbl.replace t.timings stage { calls; seconds });
+  Mutex.unlock t.timings_lock
+
 let timed t stage f =
   let t0 = Unix.gettimeofday () in
-  let finally () =
-    let dt = Unix.gettimeofday () -. t0 in
-    Mutex.lock t.timings_lock;
-    (match Hashtbl.find_opt t.timings stage with
-    | Some tm ->
-        tm.calls <- tm.calls + 1;
-        tm.seconds <- tm.seconds +. dt
-    | None -> Hashtbl.replace t.timings stage { calls = 1; seconds = dt });
-    Mutex.unlock t.timings_lock
-  in
-  Fun.protect ~finally f
+  Fun.protect
+    ~finally:(fun () ->
+      record t stage ~calls:1 (Unix.gettimeofday () -. t0))
+    f
 
 (* Bump a stage's call counter without attributing wall time — for
    accounting events (dedup hits) whose cost is the point: approximately
    zero. *)
-let counted t stage n =
-  if n > 0 then begin
-    Mutex.lock t.timings_lock;
-    (match Hashtbl.find_opt t.timings stage with
-    | Some tm -> tm.calls <- tm.calls + n
-    | None -> Hashtbl.replace t.timings stage { calls = n; seconds = 0. });
-    Mutex.unlock t.timings_lock
-  end
+let counted t stage n = if n > 0 then record t stage ~calls:n 0.
 
 let with_lock e f =
   Mutex.lock e.lock;
@@ -213,8 +208,8 @@ let trace t name set =
   with_lock e (fun () -> trace_locked t e set)
 
 (* Process-global decoded-image memo, layered under the runner-wide
-   LRU: distinct runners in one process (a --repeat sweep, tests, a
-   daemon restarted in-process) re-capture traces per runner but the
+   LRU: distinct runners in one process (tests, a daemon restarted
+   in-process) re-capture traces per runner but the
    decoded image of a registry benchmark is a pure function of
    (benchmark, input set, instruction cap) — decode it at most once per
    process. Guarded to specs physically identical to the registry's, so
@@ -508,7 +503,9 @@ let merge_deltas deltas = List.fold_left Stats.merge (Stats.create ()) deltas
    statistics. The fingerprint is behavioural
    ({!Dmp_core.Annotation.Compiled.fingerprint}): annotations differing
    only in selection metadata (merge probabilities, expected iteration
-   counts) share one simulation. *)
+   counts) share one simulation. The code that simulates is pinned by
+   the disk cache's fingerprint, so the same key also names the
+   simulation's persisted statistics. *)
 
 let config_digest (c : Config.t) =
   Digest.to_hex (Digest.string (Marshal.to_string c []))
@@ -530,19 +527,42 @@ let key_dmpstats t name set config mode ann =
   Printf.sprintf "dmpstats/%s/%s/%s/%s/%s" name (set_str set)
     (config_digest config) (mode_str mode) (annotation_fingerprint t name ann)
 
-(* The dedup memo, shared by [dmp_batch] and [dmp_memo]: a hit answers
-   [requests] tasks, each counted as a dedup hit; stored and returned
-   statistics are copies, so no caller can alias the memo. *)
-let memo_find t key ~requests =
+(* The dedup memo, shared by [dmp_batch], [dmp_memo] and
+   [transformed_dmp], layered over the disk cache. An in-memory hit
+   answers [requests] tasks, each counted as a dedup hit. On a memory
+   miss the disk entry (if any) stands in for the simulation: it is
+   counted under ["<sim> (disk cache)"] and the other [requests - 1]
+   tasks as dedup hits, so simulations + disk-cache hits + dedup hits
+   always equal the tasks submitted. Stored and returned statistics are
+   copies, so no caller can alias the memo. *)
+let memo_add_mem t key s =
+  Mem_cache.add t.mem key ~size:(Mem_cache.approx_size s)
+    (VStats (Stats.copy s))
+
+let memo_find t ~sim ~bench ~set key ~requests =
   match Mem_cache.find t.mem key with
   | Some (VStats s) ->
       counted t "dmp (dedup hit)" requests;
       Some s
-  | Some _ | None -> None
+  | Some _ | None -> (
+      let t0 = Unix.gettimeofday () in
+      match
+        Option.bind t.cache (fun c -> Disk_cache.load_stats c ~bench ~set ~key)
+      with
+      | Some s ->
+          record t (sim ^ " (disk cache)") ~calls:1
+            (Unix.gettimeofday () -. t0);
+          counted t "dmp (dedup hit)" (requests - 1);
+          memo_add_mem t key s;
+          Some s
+      | None -> None)
 
-let memo_add t key s =
-  Mem_cache.add t.mem key ~size:(Mem_cache.approx_size s)
-    (VStats (Stats.copy s))
+(* Publish a simulation's statistics to the memo and the disk cache.
+   [dmp_batch] calls it from the worker that ran the simulation, so the
+   disk write overlaps the other workers' simulations. *)
+let memo_add t ~bench ~set key s =
+  memo_add_mem t key s;
+  Option.iter (fun c -> Disk_cache.store_stats c ~bench ~set ~key s) t.cache
 
 (* ---------- software-predication (transformed-program) stages ----------
 
@@ -726,9 +746,9 @@ let transformed_baseline ?(tconfig = Pass_config.default)
           s)
 
 (* One DMP simulation of the transformed program (the combined
-   software + hardware variant). Memoized under the behavioural
-   annotation fingerprint like [dmp_memo], with the pass-config
-   fingerprint a key component. *)
+   software + hardware variant). Memoized, in memory and on disk, under
+   the behavioural annotation fingerprint like [dmp_memo], with the
+   pass-config fingerprint a key component. *)
 let transformed_dmp ?(tconfig = Pass_config.default) ?(set = Input_gen.Reduced)
     ?(config = Config.dmp) t name annotation =
   let e = entry t name in
@@ -739,23 +759,22 @@ let transformed_dmp ?(tconfig = Pass_config.default) ?(set = Input_gen.Reduced)
         Dmp_core.Annotation.Compiled.fingerprint
           (compile_annotation tlinked annotation)
       in
+      let tfp = Pass_config.fingerprint tconfig in
       let key =
-        Printf.sprintf "tdmpstats/%s/%s/%s/%s/%s" name (set_str set)
-          (Pass_config.fingerprint tconfig) (config_digest config) fp
+        Printf.sprintf "tdmpstats/%s/%s/%s/%s/%s" name (set_str set) tfp
+          (config_digest config) fp
       in
-      match Mem_cache.find t.mem key with
-      | Some (VStats s) ->
-          counted t "dmp (dedup hit)" 1;
-          Stats.copy s
-      | Some _ | None ->
+      let bench = sw_bench name tfp in
+      match memo_find t ~sim:"tdmp" ~bench ~set key ~requests:1 with
+      | Some s -> Stats.copy s
+      | None ->
           let img = timage_locked t e set tconfig in
           let s =
             timed t "tdmp (simulate)" (fun () ->
                 Sim.run_image ~config ~annotation ?max_insts:t.max_insts
                   tlinked img)
           in
-          Mem_cache.add t.mem key ~size:(Mem_cache.approx_size s)
-            (VStats (Stats.copy s));
+          memo_add t ~bench ~set key s;
           s)
 
 (* How independent per-segment simulations are spread; polymorphic so
@@ -826,8 +845,8 @@ let dmp_batch ?(set = Input_gen.Reduced) ?(config = Config.dmp) ?mode t tasks =
   validate_sim_mode mode;
   (* Group the tasks by memo key, in first-occurrence order: each group
      is simulated at most once (not at all on a memo hit from an earlier
-     batch), and its statistics go, as copies, to every slot that asked
-     for them. *)
+     batch or a disk-cache hit from an earlier process), and its
+     statistics go, as copies, to every slot that asked for them. *)
   let groups : (string, group) Hashtbl.t = Hashtbl.create 32 in
   let order = ref [] in
   List.iteri
@@ -847,7 +866,10 @@ let dmp_batch ?(set = Input_gen.Reduced) ?(config = Config.dmp) ?mode t tasks =
   let pending =
     List.filter
       (fun g ->
-        match memo_find t g.g_key ~requests:(List.length g.g_slots) with
+        match
+          memo_find t ~sim:"dmp" ~bench:g.g_name ~set g.g_key
+            ~requests:(List.length g.g_slots)
+        with
         | Some s ->
             deliver g s;
             false
@@ -867,12 +889,14 @@ let dmp_batch ?(set = Input_gen.Reduced) ?(config = Config.dmp) ?mode t tasks =
       let fan = { fan = (fun f xs -> Pool.map pool ~f xs) } in
       let stats =
         Pool.map pool
-          ~f:(fun g -> dmp_with ~fan ~set ~config ~mode t g.g_name g.g_ann)
+          ~f:(fun g ->
+            let s = dmp_with ~fan ~set ~config ~mode t g.g_name g.g_ann in
+            memo_add t ~bench:g.g_name ~set g.g_key s;
+            s)
           pending
       in
       List.iter2
         (fun g s ->
-          memo_add t g.g_key s;
           deliver g s;
           counted t "dmp (dedup hit)" (List.length g.g_slots - 1))
         pending stats);
@@ -885,11 +909,11 @@ let dmp_memo ?(set = Input_gen.Reduced) ?(config = Config.dmp) ?mode t name
   let mode = Option.value mode ~default:t.sim_mode in
   validate_sim_mode mode;
   let key = key_dmpstats t name set config mode annotation in
-  match memo_find t key ~requests:1 with
+  match memo_find t ~sim:"dmp" ~bench:name ~set key ~requests:1 with
   | Some s -> Stats.copy s
   | None ->
       let s = dmp ~set ~config ~mode t name annotation in
-      memo_add t key s;
+      memo_add t ~bench:name ~set key s;
       s
 
 let prefetch ?(profile_sets = [ Input_gen.Reduced ])

@@ -40,10 +40,13 @@ val create :
   ?jobs:int -> ?sim_mode:sim_mode -> ?mem_budget:int -> unit -> t
 (** Defaults to the full 17-benchmark suite with uncapped simulations.
     [max_insts] caps trace capture, profiling and simulation alike (for
-    quick runs and tests). When [cache_dir] is given, traces, profiles
-    and baseline statistics additionally persist across processes in a
-    {!Disk_cache} rooted there; corrupt or stale entries are recomputed
-    transparently. [jobs] sets the worker count of every parallel stage
+    quick runs and tests). When [cache_dir] is given, traces, profiles,
+    baseline statistics and the statistics of every memoized DMP
+    simulation ({!dmp_batch}, {!dmp_memo}, {!transformed_dmp})
+    additionally persist across processes in a {!Disk_cache} rooted
+    there, under a fingerprint that digests the code computing them;
+    corrupt or stale entries are recomputed transparently. [jobs] sets
+    the worker count of every parallel stage
     ({!prefetch} without an explicit override, {!dmp_batch}); it
     defaults to [Dmp_exec.Pool.default_jobs ()] and [jobs = 1] runs
     every stage inline on the calling domain. The produced statistics
@@ -137,8 +140,10 @@ val transformed_dmp :
 (** One DMP simulation of the transformed program under [annotation]
     (selected from {!transformed_profile}) — the combined
     software + hardware variant. Memoized like {!dmp_memo} with the
-    pass-config fingerprint a key component; stage
-    ["tdmp (simulate)"]. *)
+    pass-config fingerprint a key component, and persisted in the disk
+    cache under the same pass-fingerprint-qualified benchmark name as
+    the other transformed-program artifacts; stages
+    ["tdmp (simulate)"] / ["tdmp (disk cache)"]. *)
 
 val selection : t -> string -> Input_gen.set -> algo:string -> Dmp_core.Annotation.t
 (** The annotation the named selection algorithm (a {!Variants} name,
@@ -167,10 +172,13 @@ val dmp_batch :
     simulated once, exactly as {!dmp} would, and its statistics go as
     copies to every task slot of the group. A group already simulated
     by an earlier batch (or {!dmp_memo}) is answered from the
-    runner-wide memo without simulating. A batch adds one
-    ["dmp (simulate)"] call per simulation it runs and one
-    ["dmp (dedup hit)"] call per other task, so the two rows grow by
-    exactly the number of tasks submitted.
+    runner-wide memo without simulating; failing that, a runner with a
+    disk cache answers it from the group's persisted statistics, and
+    each simulation it does run is persisted by the worker that ran
+    it. A batch adds one ["dmp (simulate)"] or ["dmp (disk cache)"]
+    call per group the memo did not hold and one ["dmp (dedup hit)"]
+    call per other task, so the three rows grow by exactly the number
+    of tasks submitted.
 
     The distinct simulations are spread across a {!Dmp_exec.Pool} of
     the runner's [jobs] workers. Results match the order of the tasks,
@@ -189,7 +197,8 @@ val dmp_memo :
     uses, for callers that arrive one request at a time (the serving
     daemon): a repeat of an already-simulated
     (benchmark, set, config, mode, fingerprint) returns a copy of the
-    memoized statistics without simulating. *)
+    memoized statistics without simulating — including a simulation
+    persisted by an earlier process in the same disk cache. *)
 
 val annotation_fingerprint : t -> string -> Dmp_core.Annotation.t -> string
 (** The behavioural fingerprint
@@ -218,15 +227,19 @@ val amean : float list -> float
     ["profile (collect)"] / ["profile (disk cache)"],
     ["sprofile (collect)"] / ["sprofile (disk cache)"],
     ["baseline (simulate)"] / ["baseline (disk cache)"],
-    ["dmp (simulate)"] and — under a segment-splitting {!sim_mode} —
+    ["dmp (simulate)"] / ["dmp (disk cache)"] and — under a
+    segment-splitting {!sim_mode} —
     ["ckpt (capture)"] for checkpoint capture runs (shared reference
     captures in [Sampled] mode, per-task captures in [Segmented]
     mode). A warm persistent cache is visible as the
     capture/collect/simulate rows dropping to zero calls.
 
-    ["dmp (dedup hit)"] is an accounting row (calls counted, no wall
-    time attributed): the {!dmp_batch} / {!dmp_memo} requests answered
-    without a simulation. ["image (decode)"] counts
+    Unlike the other disk-cache rows, ["dmp (disk cache)"] and
+    ["tdmp (disk cache)"] count hits only: each call stands in for one
+    simulation. ["dmp (dedup hit)"] is an accounting row (calls
+    counted, no wall time attributed): the {!dmp_batch} / {!dmp_memo} /
+    {!transformed_dmp} requests answered by another request's
+    simulation or disk entry. ["image (decode)"] counts
     actual trace decodes — at most one per (benchmark, input set,
     instruction cap) per process, across every runner and simulation
     mode, thanks to a process-global weak memo of decoded images. *)

@@ -15,7 +15,6 @@ type mode = Periodic | Lbr of int | Mispredict
 type config = { mode : mode; period : int; seed : int }
 
 let default_lbr_depth = 16
-let format_version = 1
 
 let mode_to_string = function
   | Periodic -> "periodic"

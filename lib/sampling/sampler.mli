@@ -57,11 +57,6 @@ type config = { mode : mode; period : int; seed : int }
 
 val default_lbr_depth : int
 
-val format_version : int
-(** Bump when sampling or reconstruction semantics change in a way that
-    alters reconstructed profiles: {!Dmp_experiments.Disk_cache} folds
-    it into the cache entry name of sampled profiles. *)
-
 val mode_to_string : mode -> string
 val mode_of_string : string -> mode option
 (** Accepts ["periodic"], ["lbr"] (default depth), ["lbrK"] for a

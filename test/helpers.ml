@@ -194,3 +194,20 @@ let generated_programs ~seed n =
       let programs = List.init n (fun _ -> Dmp_check.Generator.next gen) in
       Hashtbl.replace generated_cache (seed, n) programs;
       programs
+
+let rec remove_tree path =
+  if Sys.is_directory path then begin
+    Array.iter
+      (fun f -> remove_tree (Filename.concat path f))
+      (Sys.readdir path);
+    Sys.rmdir path
+  end
+  else Sys.remove path
+
+(* Run [f] on a fresh empty directory, removed with its contents
+   afterwards. *)
+let with_temp_cache_dir f =
+  let dir = Filename.temp_file "dmp_cache_test" "" in
+  Sys.remove dir;
+  Sys.mkdir dir 0o755;
+  Fun.protect ~finally:(fun () -> remove_tree dir) (fun () -> f dir)

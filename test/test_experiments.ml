@@ -305,20 +305,7 @@ let test_sim_fidelity_report () =
   check Alcotest.bool "render reports byte-identity" true
     (Astring_contains.contains rendered "segmented: byte-identical")
 
-let rec remove_tree path =
-  if Sys.is_directory path then begin
-    Array.iter
-      (fun f -> remove_tree (Filename.concat path f))
-      (Sys.readdir path);
-    Sys.rmdir path
-  end
-  else Sys.remove path
-
-let with_temp_cache_dir f =
-  let dir = Filename.temp_file "dmp_cache_test" "" in
-  Sys.remove dir;
-  Sys.mkdir dir 0o755;
-  Fun.protect ~finally:(fun () -> remove_tree dir) (fun () -> f dir)
+let with_temp_cache_dir = Helpers.with_temp_cache_dir
 
 let cached_runner dir =
   Runner.create
@@ -454,10 +441,102 @@ let test_profile_fidelity_anchor () =
     (Astring_contains.contains rendered "periodic"
     && Astring_contains.contains rendered "lbr4")
 
+(* Every memoized DMP simulation persists. A fresh runner on the same
+   directory answers a batch in every sim mode, with a repeated task
+   and a metadata-only twin, from disk: byte-identical statistics, and
+   no simulation, image decode or checkpoint capture. The persisted key
+   still tells machine configurations and sim modes apart, so the warm
+   runner simulates a new confidence threshold, and a mode it has not
+   run, once each. *)
+let test_disk_cache_persisted_sims () =
+  let modes =
+    [ Runner.Exact; Runner.Segmented 2;
+      Runner.Sampled { segments = 2; warmup = 1_000; window = 4_000 } ]
+  in
+  let heur r =
+    Dmp_core.Select.run (Runner.linked r "li")
+      (Runner.profile r "li" Input_gen.Reduced)
+  in
+  let tasks r =
+    let h = heur r in
+    let every = Runner.selection r "li" Input_gen.Reduced ~algo:"every-br" in
+    [ ("li", h); ("li", every); ("li", h); ("li", meta_tweaked h) ]
+  in
+  let run r =
+    List.concat_map
+      (fun mode ->
+        List.map stats_bytes (Runner.dmp_batch ~mode r (tasks r)))
+      modes
+  in
+  let n_tasks = 4 * List.length modes in
+  with_temp_cache_dir (fun dir ->
+      let r1 = cached_runner dir in
+      let cold = run r1 in
+      check Alcotest.int "cold: two distinct simulations per mode" 6
+        (stage_calls r1 "dmp (simulate)");
+      check Alcotest.int "cold: simulations + dedup hits = tasks" n_tasks
+        (stage_calls r1 "dmp (simulate)" + stage_calls r1 "dmp (dedup hit)");
+      let r2 = cached_runner dir in
+      let warm = run r2 in
+      check Alcotest.bool "warm stats Marshal-identical to cold" true
+        (cold = warm);
+      check Alcotest.int "warm: no simulation" 0
+        (stage_calls r2 "dmp (simulate)");
+      check Alcotest.int "warm: no image decode" 0
+        (stage_calls r2 "image (decode)");
+      check Alcotest.int "warm: no checkpoint capture" 0
+        (stage_calls r2 "ckpt (capture)");
+      check Alcotest.int "warm: disk-cache + dedup hits = tasks" n_tasks
+        (stage_calls r2 "dmp (disk cache)"
+        + stage_calls r2 "dmp (dedup hit)");
+      let config =
+        { Dmp_uarch.Config.dmp with
+          Dmp_uarch.Config.conf_threshold =
+            Dmp_uarch.Config.dmp.Dmp_uarch.Config.conf_threshold + 1 }
+      in
+      ignore (Runner.dmp_batch ~config r2 [ ("li", heur r2) ]);
+      check Alcotest.int "a new confidence threshold simulates once" 1
+        (stage_calls r2 "dmp (simulate)");
+      ignore
+        (Runner.dmp_batch ~mode:(Runner.Segmented 3) r2 [ ("li", heur r2) ]);
+      check Alcotest.int "a mode not yet run simulates once" 2
+        (stage_calls r2 "dmp (simulate)"))
+
+(* The combined software + hardware simulation persists too, under the
+   pass-fingerprint-qualified benchmark name. *)
+let test_disk_cache_transformed_dmp () =
+  let run r =
+    let linked =
+      (Runner.transform r "li" Input_gen.Reduced).Dmp_transform.Pipeline.linked
+    in
+    let ann =
+      Dmp_core.Select.run linked
+        (Runner.transformed_profile r "li" Input_gen.Reduced)
+    in
+    stats_bytes (Runner.transformed_dmp r "li" ann)
+  in
+  with_temp_cache_dir (fun dir ->
+      let r1 = cached_runner dir in
+      let cold = run r1 in
+      check Alcotest.int "cold run simulates" 1
+        (stage_calls r1 "tdmp (simulate)");
+      let r2 = cached_runner dir in
+      let warm = run r2 in
+      check Alcotest.bool "tdmp stats round-trip" true (cold = warm);
+      check Alcotest.int "warm run does not simulate" 0
+        (stage_calls r2 "tdmp (simulate)");
+      check Alcotest.int "warm run hits the disk cache" 1
+        (stage_calls r2 "tdmp (disk cache)"))
+
 let test_disk_cache_corrupt_fallback () =
+  let ann r =
+    Dmp_core.Select.run (Runner.linked r "li")
+      (Runner.profile r "li" Input_gen.Reduced)
+  in
   with_temp_cache_dir (fun dir ->
       let r1 = cached_runner dir in
       let p1 = profile_bytes (Runner.profile r1 "li" Input_gen.Reduced) in
+      let d1 = stats_bytes (Runner.dmp_memo r1 "li" (ann r1)) in
       (* clobber every cache entry *)
       Array.iter
         (fun sub ->
@@ -478,12 +557,23 @@ let test_disk_cache_corrupt_fallback () =
         (stage_calls r2 "profile (collect)");
       check Alcotest.int "corrupt trace entry is recaptured" 1
         (stage_calls r2 "trace (capture)");
+      let d2 = stats_bytes (Runner.dmp_memo r2 "li" (ann r2)) in
+      check Alcotest.bool "corrupt dmp entry falls back to simulate" true
+        (d1 = d2);
+      check Alcotest.int "corrupt dmp entry is re-simulated once" 1
+        (stage_calls r2 "dmp (simulate)");
       (* the recompute re-stored a good entry *)
       let r3 = cached_runner dir in
       let p3 = profile_bytes (Runner.profile r3 "li" Input_gen.Reduced) in
       check Alcotest.bool "re-stored entry loads" true (p1 = p3);
       check Alcotest.int "no recompute after re-store" 0
-        (stage_calls r3 "profile (collect)"))
+        (stage_calls r3 "profile (collect)");
+      let d3 = stats_bytes (Runner.dmp_memo r3 "li" (ann r3)) in
+      check Alcotest.bool "re-stored dmp entry loads" true (d1 = d3);
+      check Alcotest.int "no simulation after re-store" 0
+        (stage_calls r3 "dmp (simulate)");
+      check Alcotest.int "re-stored dmp entry hits the disk cache" 1
+        (stage_calls r3 "dmp (disk cache)"))
 
 (* Targeted corruption injection against the Disk_cache format itself
    (magic | digest | marshalled payload): a flipped bit anywhere, or a
@@ -793,6 +883,10 @@ let () =
             test_disk_cache_trace_round_trip;
           Alcotest.test_case "sampled round trip" `Slow
             test_disk_cache_sampled_round_trip;
+          Alcotest.test_case "persisted simulations" `Slow
+            test_disk_cache_persisted_sims;
+          Alcotest.test_case "persisted transformed simulation" `Slow
+            test_disk_cache_transformed_dmp;
           Alcotest.test_case "corrupt fallback" `Slow
             test_disk_cache_corrupt_fallback;
           Alcotest.test_case "corruption injection" `Quick

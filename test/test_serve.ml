@@ -243,6 +243,37 @@ let test_service_warm_hit () =
   check Alcotest.int "warm hit counted" 1 s.Mem_cache.hits;
   check Alcotest.int "one miss" 1 s.Mem_cache.misses
 
+(* A daemon restarted on the same cache directory answers a run request
+   from the statistics the first one persisted: a byte-identical body
+   and no simulation. *)
+let test_service_restart_warm () =
+  Helpers.with_temp_cache_dir (fun dir ->
+      let req =
+        Protocol.Run { bench = "li"; set = "reduced"; algo = "all-best-heur" }
+      in
+      let serve () =
+        let svc =
+          Service.create ~benchmarks:[ Registry.find "li" ] ~max_insts:40_000
+            ~cache_dir:dir ()
+        in
+        match Service.respond svc req with
+        | Ok body, _ -> (body, Runner.timings (Service.runner svc))
+        | Error e, _ -> Alcotest.failf "run failed: %s" e
+      in
+      let has_row timings stage =
+        List.exists (fun (s, _, _) -> s = stage) timings
+      in
+      let body1, timings1 = serve () in
+      check Alcotest.bool "first daemon simulates" true
+        (has_row timings1 "dmp (simulate)");
+      let body2, timings2 = serve () in
+      check Alcotest.bool "restarted daemon answers byte-identically" true
+        (body1 = body2);
+      check Alcotest.bool "restarted daemon does not simulate" false
+        (has_row timings2 "dmp (simulate)");
+      check Alcotest.bool "restarted daemon reads the disk cache" true
+        (has_row timings2 "dmp (disk cache)"))
+
 let test_service_errors () =
   let svc = small_service () in
   let is_error = function Error _, _ -> true | Ok _, _ -> false in
@@ -552,6 +583,8 @@ let () =
           Alcotest.test_case "coalesce 2" `Slow test_service_coalesce_2;
           Alcotest.test_case "coalesce 8" `Slow test_service_coalesce_8;
           Alcotest.test_case "warm hit" `Slow test_service_warm_hit;
+          Alcotest.test_case "restart on a warm cache" `Slow
+            test_service_restart_warm;
           Alcotest.test_case "validation errors" `Quick test_service_errors;
           Alcotest.test_case "byte-identical to live CLI" `Slow
             test_service_matches_live;
