@@ -13,19 +13,10 @@
 
 open Dmp_core
 open Dmp_uarch
-open Dmp_workload
 
 type row = { label : string; mean_improvement : float; note : string }
 
-let mean_improvement runner ~annotate ?(config = Config.dmp) () =
-  let tasks =
-    List.map
-      (fun name ->
-        let linked = Runner.linked runner name in
-        let profile = Runner.profile runner name Input_gen.Reduced in
-        (name, annotate name linked profile))
-      (Runner.names runner)
-  in
+let mean_improvement runner ?(config = Config.dmp) tasks =
   let stats = Runner.dmp_batch ~config runner tasks in
   Runner.amean
     (List.map2
@@ -49,54 +40,58 @@ let strip_cfms ann =
     ann;
   out
 
-let best name linked profile =
-  ignore name;
-  Select.run linked profile
+(* Instructions of the 2D profile behind the pre-filter. *)
+let two_d_insts = 200_000
 
 let run runner =
-  let heur = mean_improvement runner ~annotate:best () in
-  let dual =
-    mean_improvement runner
-      ~annotate:(fun _ linked profile -> strip_cfms (Select.run linked profile))
-      ()
-  in
+  let names = Runner.names runner in
+  let stack = Runner.Compiler Select.all_heuristic in
   let with_params params =
-    mean_improvement runner
-      ~annotate:(fun _ linked profile ->
-        let config = { Select.all_heuristic with Select.params } in
-        Select.run ~config linked profile)
-      ()
+    Runner.Compiler { Select.all_heuristic with Select.params }
   in
-  let no_chain =
-    with_params { Params.default with Params.chain_reduction = false }
+  (* Every selection the ablations make, in one batch of the runner's
+     selection stage: the default stack (all-best-heur's key, shared
+     with the figures), the two knob variants, and the default stack
+     behind the 2D pre-filter. *)
+  let specs =
+    [
+      (stack, None);
+      ( with_params { Params.default with Params.chain_reduction = false },
+        None );
+      (with_params { Params.default with Params.live_selects = false }, None);
+      (stack, Some two_d_insts);
+    ]
   in
-  let all_defs =
-    with_params { Params.default with Params.live_selects = false }
+  let anns =
+    Runner.selections runner
+      (List.concat_map
+         (fun (sel, two_d) ->
+           List.map (fun name -> Runner.request ?two_d name sel) names)
+         specs)
   in
+  let nb = List.length names in
+  let tasks i =
+    List.combine names (List.filteri (fun j _ -> j / nb = i) anns)
+  in
+  let best = tasks 0 and filtered = tasks 3 in
+  let heur = mean_improvement runner best in
+  let dual =
+    mean_improvement runner (List.map (fun (n, a) -> (n, strip_cfms a)) best)
+  in
+  let no_chain = mean_improvement runner (tasks 1) in
+  let all_defs = mean_improvement runner (tasks 2) in
   let conf t =
-    mean_improvement runner ~annotate:best
+    mean_improvement runner
       ~config:{ Config.dmp with Config.conf_threshold = t }
-      ()
+      best
   in
   let c8 = conf 8 and c11 = conf 11 and c14 = conf 14 in
   (* 2D pre-filter: performance and static annotation size. *)
-  let count_with_2d name linked profile =
-    let td =
-      Dmp_profile.Two_d.collect ~max_insts:200_000 linked
-        ~input:(Runner.input runner name Input_gen.Reduced)
-    in
-    Select.run ~two_d:td linked profile
+  let count tasks =
+    List.fold_left (fun acc (_, a) -> acc + Annotation.count a) 0 tasks
   in
-  let plain_count, filtered_count =
-    List.fold_left
-      (fun (a, b) name ->
-        let linked = Runner.linked runner name in
-        let profile = Runner.profile runner name Input_gen.Reduced in
-        ( a + Annotation.count (Select.run linked profile),
-          b + Annotation.count (count_with_2d name linked profile) ))
-      (0, 0) (Runner.names runner)
-  in
-  let two_d_perf = mean_improvement runner ~annotate:count_with_2d () in
+  let plain_count = count best and filtered_count = count filtered in
+  let two_d_perf = mean_improvement runner filtered in
   [
     { label = "all-best-heur"; mean_improvement = heur; note = "reference" };
     { label = "dual-path (no CFM points)"; mean_improvement = dual;

@@ -17,7 +17,6 @@
    byte-identical for any -j value. *)
 
 open Dmp_core
-open Dmp_workload
 module Sampler = Dmp_sampling.Sampler
 module Mpt = Dmp_mpp.Mpt
 
@@ -91,20 +90,6 @@ let variant_label = function
   | V_dynamic (l, _) -> l
   | V_oracle -> "iposdom"
 
-let annotation_for runner name set = function
-  | V_static (_, v, period) ->
-      let linked = Runner.linked runner name in
-      let profile =
-        match period with
-        | None -> Runner.profile runner name set
-        | Some period ->
-            Runner.sampled_profile runner name set
-              { Sampler.mode = Sampler.Periodic; period; seed }
-      in
-      Variants.annotate v linked profile
-  | V_oracle -> Dmp_mpp.Oracle.annotation (Runner.linked runner name)
-  | V_dynamic _ -> Annotation.empty ()
-
 let ratio num den =
   if den <= 0 then 0. else float_of_int num /. float_of_int den
 
@@ -120,9 +105,48 @@ let rec split_at n xs =
 let run ?periods runner =
   let vs = variants ?periods () in
   let names = Runner.names runner in
-  let set = Input_gen.Reduced in
+  let nb = List.length names in
+  (* Every static selection in one batch of the runner's selection
+     stage: "exact" is all-best-heur's key and each stale-<p> shares the
+     profile-fidelity sweep's periodic key for that period. *)
+  let statics =
+    List.filter_map
+      (function
+        | V_static (label, v, period) -> Some (label, v, period)
+        | V_dynamic _ | V_oracle -> None)
+      vs
+  in
+  let selected =
+    Runner.selections runner
+      (List.concat_map
+         (fun (_, v, period) ->
+           let source =
+             match period with
+             | None -> Runner.Exact_profile
+             | Some period ->
+                 Runner.Sampled_profile
+                   { Sampler.mode = Sampler.Periodic; period; seed }
+           in
+           List.map
+             (fun name -> Runner.request ~source name (Runner.variant v))
+             names)
+         statics)
+  in
+  let by_label =
+    List.mapi
+      (fun i (label, _, _) ->
+        (label, List.filteri (fun j _ -> j / nb = i) selected))
+      statics
+  in
   let tasks v =
-    List.map (fun name -> (name, annotation_for runner name set v)) names
+    List.combine names
+      (match v with
+      | V_static (label, _, _) -> List.assoc label by_label
+      | V_oracle ->
+          List.map
+            (fun name -> Dmp_mpp.Oracle.annotation (Runner.linked runner name))
+            names
+      | V_dynamic _ -> List.map (fun _ -> Annotation.empty ()) names)
   in
   let static_vs, dynamic_vs =
     List.partition (function V_dynamic _ -> false | _ -> true) vs
@@ -143,7 +167,6 @@ let run ?periods runner =
         | V_static _ | V_oracle -> assert false)
       dynamic_vs
   in
-  let nb = List.length names in
   let rows_of v stats =
     List.map2
       (fun bench (s : Dmp_uarch.Stats.t) ->

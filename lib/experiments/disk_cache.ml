@@ -2,8 +2,9 @@
 
      magic | Digest(payload) | payload
 
-   with the payload a [Marshal]-serialised [Profile.raw], [Stats.t] or
-   packed [Trace.t] (Bigarray buffers marshal their raw contents).
+   with the payload a [Marshal]-serialised [Profile.raw], [Stats.t],
+   [Annotation.t] or packed [Trace.t] (Bigarray buffers marshal their
+   raw contents).
    Writes go through a temporary file in the same directory followed by
    a rename, so a crashed or concurrent writer can never leave a
    half-written entry under the final name; corruption that happens
@@ -38,18 +39,11 @@ let env_max_bytes () =
 
 (* Everything a cached value depends on besides its entry key: the
    code that computed it (a build-time digest of the sources of every
-   library the runner is built from), the compiler that marshalled it,
-   the selection parameters, the baseline machine and the instruction
-   cap. *)
+   library the runner is built from, so the parameter and machine
+   constants defined there too), the compiler that marshalled it and
+   the instruction cap. *)
 let fingerprint ~max_insts =
-  let key =
-    ( Dmp_code_digest.value,
-      Sys.ocaml_version,
-      Dmp_core.Params.default,
-      Dmp_core.Params.for_cost_model,
-      Config.baseline,
-      max_insts )
-  in
+  let key = (Dmp_code_digest.value, Sys.ocaml_version, max_insts) in
   Digest.to_hex (Digest.string (Marshal.to_string key []))
 
 let mkdir_if_absent d =
@@ -277,12 +271,18 @@ let load_trace t ~bench ~set : Trace.t option =
 let store_trace t ~bench ~set (trace : Trace.t) =
   store t ~bench ~set ~kind:"trace" trace
 
-(* DMP statistics, one entry per simulation key: the key is long and
-   full of separators, so the entry kind holds its digest. *)
-let stats_kind key = "dmp-" ^ Digest.to_hex (Digest.string key)
+(* Keyed entries, one per memo key: the key is long and full of
+   separators, so the entry kind holds its digest. *)
+let keyed_kind prefix key = prefix ^ "-" ^ Digest.to_hex (Digest.string key)
 
 let load_stats t ~bench ~set ~key : Stats.t option =
-  load t ~bench ~set ~kind:(stats_kind key)
+  load t ~bench ~set ~kind:(keyed_kind "dmp" key)
 
 let store_stats t ~bench ~set ~key (stats : Stats.t) =
-  store t ~bench ~set ~kind:(stats_kind key) stats
+  store t ~bench ~set ~kind:(keyed_kind "dmp" key) stats
+
+let load_selection t ~bench ~set ~key : Dmp_core.Annotation.t option =
+  load t ~bench ~set ~kind:(keyed_kind "sel" key)
+
+let store_selection t ~bench ~set ~key (ann : Dmp_core.Annotation.t) =
+  store t ~bench ~set ~kind:(keyed_kind "sel" key) ann

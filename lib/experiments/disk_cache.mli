@@ -1,16 +1,19 @@
 (** Persistent on-disk cache for the expensive pipeline stages.
 
-    Traces, profiles, baseline statistics and DMP statistics are stored
-    under [dir/<fingerprint>/<benchmark>-<input set>.<kind>], where the
+    Traces, profiles, baseline statistics, DMP statistics and compiler
+    selections are stored under
+    [dir/<fingerprint>/<benchmark>-<input set>.<kind>], where the
     fingerprint digests the code that computes them
     ({!Dmp_code_digest.value}, a build-time digest of the sources of
-    every library in [dmp_experiments]' closure), the OCaml version,
-    the selection / cost-model parameters, the baseline machine
-    configuration and the [max_insts] cap. Changing any of these,
-    including any edit to those sources, invalidates every entry at
-    once by moving the cache to a fresh subdirectory. Entries carry a
-    digest of their payload; a truncated, tampered-with or otherwise
-    unreadable entry loads as [None] and the caller recomputes.
+    every library in [dmp_experiments]' closure — which also pins the
+    default selection parameters and machine configurations defined
+    there), the OCaml version and the [max_insts] cap. Changing any of
+    these, including any edit to those sources, invalidates every entry
+    at once by moving the cache to a fresh subdirectory. Anything else a
+    value depends on (a selection's parameters, a simulation's machine
+    configuration) is part of its entry key. Entries carry a digest of
+    their payload; a truncated, tampered-with or otherwise unreadable
+    entry loads as [None] and the caller recomputes.
 
     The pre-decoded {!Dmp_exec.Image} form of a trace is not persisted
     — an image is ~8x the trace's bytes and decoding the cached trace
@@ -102,3 +105,16 @@ val load_stats :
 
 val store_stats :
   t -> bench:string -> set:Input_gen.set -> key:string -> Stats.t -> unit
+
+val load_selection :
+  t -> bench:string -> set:Input_gen.set -> key:string ->
+  Dmp_core.Annotation.t option
+(** One compiler selection's annotation, stored under the entry kind
+    ["sel-<md5 of key>"]. [key] must name everything the selection
+    reads apart from what the fingerprint pins: the runner uses its
+    selection-stage key (benchmark, input set, profile source, full
+    selector and 2D pre-filter). *)
+
+val store_selection :
+  t -> bench:string -> set:Input_gen.set -> key:string ->
+  Dmp_core.Annotation.t -> unit

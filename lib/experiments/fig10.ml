@@ -15,13 +15,23 @@ type row = {
 }
 
 let run runner =
-  List.map
-    (fun name ->
-      let linked = Runner.linked runner name in
+  let names = Runner.names runner in
+  let nb = List.length names in
+  let requests set =
+    List.map
+      (fun name ->
+        Runner.request ~set name (Runner.variant Variants.all_best_heur))
+      names
+  in
+  let anns =
+    Runner.selections runner
+      (requests Input_gen.Reduced @ requests Input_gen.Train)
+  in
+  let runs = List.filteri (fun i _ -> i < nb) anns in
+  let trains = List.filteri (fun i _ -> i >= nb) anns in
+  List.map2
+    (fun name (a_run, a_train) ->
       let p_run = Runner.profile runner name Input_gen.Reduced in
-      let p_train = Runner.profile runner name Input_gen.Train in
-      let a_run = Variants.annotate Variants.all_best_heur linked p_run in
-      let a_train = Variants.annotate Variants.all_best_heur linked p_train in
       let weight addr = Profile.executed p_run ~addr in
       let addrs =
         List.sort_uniq Int.compare
@@ -51,7 +61,7 @@ let run runner =
         pct_only_train = pct only_train;
         pct_either = pct either;
       })
-    (Runner.names runner)
+    names (List.combine runs trains)
 
 let render rows =
   let buf = Buffer.create 1024 in

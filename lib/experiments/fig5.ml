@@ -2,36 +2,31 @@
    heuristic selection algorithms (left) and the cost-benefit model
    variants (right). *)
 
-(* Annotations for a labelled variant list. Whenever the label names
-   the same registered variant (every built-in figure list does), the
-   annotation is resolved through the runner's cached selection stage,
-   so the figures and the serving daemon share one memoized selection
-   per (benchmark, input set, algorithm); an unregistered variant falls
-   back to a direct run of the selection compiler. *)
+(* Annotations for a labelled variant list, one per (variant,
+   benchmark), resolved in one batch of the runner's selection stage:
+   the figures and the serving daemon share one memoized (and
+   persisted) selection per (benchmark, input set, selector). *)
 let annotations ?(set = Dmp_workload.Input_gen.Reduced) runner variants =
   let names = Runner.names runner in
-  List.map
-    (fun (label, variant) ->
-      ( label,
-        List.map
-          (fun name ->
-            let ann =
-              match Variants.of_string label with
-              | Some v when v = variant ->
-                  Runner.selection runner name set ~algo:label
-              | Some _ | None ->
-                  Variants.annotate variant (Runner.linked runner name)
-                    (Runner.profile runner name set)
-            in
-            (name, ann))
-          names ))
+  let anns =
+    Array.of_list
+      (Runner.selections runner
+         (List.concat_map
+            (fun (_, v) ->
+              List.map (fun name -> Runner.request ~set name (Runner.variant v))
+                names)
+            variants))
+  in
+  let k = List.length names in
+  List.mapi
+    (fun vi (label, _) ->
+      (label, List.mapi (fun ni name -> (name, anns.((vi * k) + ni))) names))
     variants
 
 let run_variants runner variants =
   let names = Runner.names runner in
-  (* Annotations are derived sequentially (selection is cheap and the
-     profiles are memoized); the independent DMP simulations — the
-     dominant cost — fan out over one batch. *)
+  (* One selection batch, then one simulation batch: the independent
+     DMP simulations — the dominant cost — fan out over the pool. *)
   let per_variant = annotations runner variants in
   let stats =
     Array.of_list

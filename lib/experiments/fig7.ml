@@ -16,57 +16,53 @@ let default_merge_probs = [ 0.01; 0.05; 0.30; 0.60; 0.90 ]
 let run ?(max_instrs = default_max_instrs)
     ?(merge_probs = default_merge_probs) runner =
   let names = Runner.names runner in
-  (* Selection runs per grid point sequentially; the 20 x 17 grid of
-     independent simulations goes through one batch. *)
-  let per_point =
+  let points =
     List.concat_map
       (fun max_instr ->
-        List.map
-          (fun min_merge_prob ->
-            let params =
-              { Params.default with
-                Params.max_instr;
-                max_cbr = max 1 (max_instr / 10);
-                min_merge_prob;
-              }
-            in
-            let config =
-              { Select.mode = Select.Heuristic;
-                techniques = [ Select.Exact; Select.Freq ];
-                params }
-            in
-            ( max_instr,
-              min_merge_prob,
-              List.map
-                (fun name ->
-                  let linked = Runner.linked runner name in
-                  let profile =
-                    Runner.profile runner name Dmp_workload.Input_gen.Reduced
-                  in
-                  (name, Select.run ~config linked profile))
-                names ))
+        List.map (fun min_merge_prob -> (max_instr, min_merge_prob))
           merge_probs)
       max_instrs
+  in
+  let selector (max_instr, min_merge_prob) =
+    Runner.Compiler
+      { Select.mode = Select.Heuristic;
+        techniques = [ Select.Exact; Select.Freq ];
+        params =
+          { Params.default with
+            Params.max_instr;
+            max_cbr = max 1 (max_instr / 10);
+            min_merge_prob } }
+  in
+  (* The 20 x 17 grid's selections go through one batch of the
+     selection stage (the (50, 1%) point is exact+freq's key), then its
+     independent simulations through one DMP batch. *)
+  let requests =
+    List.concat_map
+      (fun p -> List.map (fun name -> Runner.request name (selector p)) names)
+      points
   in
   let stats =
     Array.of_list
       (Runner.dmp_batch runner
-         (List.concat_map (fun (_, _, tasks) -> tasks) per_point))
+         (List.map2
+            (fun (r : Runner.request) ann -> (r.bench, ann))
+            requests
+            (Runner.selections runner requests)))
   in
   let k = List.length names in
   List.mapi
-    (fun pi (max_instr, min_merge_prob, tasks) ->
+    (fun pi (max_instr, min_merge_prob) ->
       let improvements =
         List.mapi
-          (fun ni (name, _) ->
+          (fun ni name ->
             Runner.speedup_pct
               ~base:(Runner.baseline runner name)
               stats.((pi * k) + ni))
-          tasks
+          names
       in
       { max_instr; min_merge_prob;
         mean_improvement = Runner.amean improvements })
-    per_point
+    points
 
 let render points =
   let buf = Buffer.create 1024 in

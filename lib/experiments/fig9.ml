@@ -6,27 +6,35 @@ open Dmp_workload
 
 let variants =
   [
-    ("heur-same", "all-best-heur", Input_gen.Reduced);
-    ("heur-diff", "all-best-heur", Input_gen.Train);
-    ("cost-same", "all-best-cost", Input_gen.Reduced);
-    ("cost-diff", "all-best-cost", Input_gen.Train);
+    ("heur-same", Variants.all_best_heur, Input_gen.Reduced);
+    ("heur-diff", Variants.all_best_heur, Input_gen.Train);
+    ("cost-same", Variants.all_best_cost, Input_gen.Reduced);
+    ("cost-diff", Variants.all_best_cost, Input_gen.Train);
   ]
 
 let run runner =
   let names = Runner.names runner in
-  (* Selections resolve through the runner's cached stage keyed by
-     (benchmark, profile set, algorithm); the "same" columns share the
-     figure-5 selections outright, and when the train profile happens
-     to pick the same diverge branches as the reduced one, the batch
+  (* One batch of the runner's selection stage, keyed by (benchmark,
+     profile set, selector): the "same" columns share the figure-5
+     selections outright, and when the train profile happens to pick
+     the same diverge branches as the reduced one, the batch
      scheduler's fingerprint dedup collapses the simulations too. *)
+  let anns =
+    Array.of_list
+      (Runner.selections runner
+         (List.concat_map
+            (fun (_, v, profile_set) ->
+              List.map
+                (fun name ->
+                  Runner.request ~set:profile_set name (Runner.variant v))
+                names)
+            variants))
+  in
+  let k = List.length names in
   let per_variant =
-    List.map
-      (fun (label, algo, profile_set) ->
-        ( label,
-          List.map
-            (fun name ->
-              (name, Runner.selection runner name profile_set ~algo))
-            names ))
+    List.mapi
+      (fun vi (label, _, _) ->
+        (label, List.mapi (fun ni name -> (name, anns.((vi * k) + ni))) names))
       variants
   in
   let stats =
@@ -34,7 +42,6 @@ let run runner =
       (Runner.dmp_batch runner
          (List.concat_map (fun (_, tasks) -> tasks) per_variant))
   in
-  let k = List.length names in
   let series =
     List.mapi
       (fun vi (label, tasks) ->

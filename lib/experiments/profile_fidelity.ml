@@ -17,12 +17,12 @@
      across the whole suite — which period-1 periodic sampling must
      achieve by construction.
 
-   All simulations (exact and every combination) go through one
+   All selections (exact and every combination) go through one batch
+   of the runner's selection stage and all simulations through one
    Runner.dmp_batch, so the domain pool sees every independent task at
    once and the output stays byte-identical for any -j value. *)
 
 open Dmp_core
-open Dmp_workload
 module Sampler = Dmp_sampling.Sampler
 
 type row = {
@@ -100,42 +100,44 @@ let run ?periods ?modes runner =
   in
   let modes = Option.value ~default:default_modes modes in
   let names = Runner.names runner in
-  let set = Input_gen.Reduced in
-  let annotate linked profile =
-    Variants.annotate Variants.all_best_heur linked profile
-  in
-  let exact =
-    List.map
-      (fun name ->
-        let linked = Runner.linked runner name in
-        (name, annotate linked (Runner.profile runner name set)))
-      names
-  in
+  let nb = List.length names in
   let combos =
     List.concat_map
       (fun mode -> List.map (fun period -> (mode, period)) periods)
       modes
   in
-  let combo_anns =
-    List.map
-      (fun (mode, period) ->
-        let sampling = { Sampler.mode; period; seed } in
-        List.map
-          (fun name ->
-            let linked = Runner.linked runner name in
-            ( name,
-              annotate linked (Runner.sampled_profile runner name set sampling)
-            ))
-          names)
-      combos
+  (* The exact column and every sampled combination in one batch of the
+     selection stage, which also fans the sampled-profile collections
+     across the pool. *)
+  let sources =
+    Runner.Exact_profile
+    :: List.map
+         (fun (mode, period) ->
+           Runner.Sampled_profile { Sampler.mode; period; seed })
+         combos
   in
-  let all_stats = Runner.dmp_batch runner (exact @ List.concat combo_anns) in
-  let nb = List.length names in
-  let exact_stats, rest = split_at nb all_stats in
-  let _, rows =
-    List.fold_left2
-      (fun (rest, rows) (mode, period) anns ->
-        let stats, rest = split_at nb rest in
+  let selector = Runner.variant Variants.all_best_heur in
+  let requests =
+    List.concat_map
+      (fun source ->
+        List.map (fun name -> Runner.request ~source name selector) names)
+      sources
+  in
+  let tasks =
+    List.map2
+      (fun (r : Runner.request) ann -> (r.bench, ann))
+      requests
+      (Runner.selections runner requests)
+  in
+  let exact, combo_tasks = split_at nb tasks in
+  let exact_stats, combo_stats =
+    split_at nb (Runner.dmp_batch runner tasks)
+  in
+  let _, _, rows =
+    List.fold_left
+      (fun (tasks, stats, rows) (mode, period) ->
+        let anns, tasks = split_at nb tasks in
+        let sampled_stats, stats = split_at nb stats in
         let per_bench f = Runner.amean (List.map2 f exact anns) in
         let jaccard_diverge =
           per_bench (fun (_, e) (_, s) ->
@@ -151,7 +153,7 @@ let run ?periods ?modes runner =
           Runner.amean
             (List.map2
                (fun base s -> Runner.speedup_pct ~base s)
-               exact_stats stats)
+               exact_stats sampled_stats)
         in
         let exact_bytes =
           List.for_all2
@@ -159,11 +161,12 @@ let run ?periods ?modes runner =
               String.equal (Annotation.to_string e) (Annotation.to_string s))
             exact anns
         in
-        ( rest,
+        ( tasks,
+          stats,
           { mode; period; jaccard_diverge; jaccard_cfm; ipc_delta_pct;
             exact_bytes }
           :: rows ))
-      (rest, []) combos combo_anns
+      (combo_tasks, combo_stats, []) combos
   in
   List.rev rows
 

@@ -1,10 +1,11 @@
 (* Shared experiment pipeline with caching of the expensive stages
-   (linking, trace capture, profiling, baseline and DMP simulation)
-   across figures. The architectural emulator runs once per (benchmark,
-   input set): its event stream is captured into a packed [Trace.t] under the
-   per-benchmark lock; the trace is decoded once into a flat [Image.t]
-   and every later baseline / dmp call replays the image (profiling
-   still walks the packed trace — it runs once per pair anyway).
+   (linking, trace capture, profiling, compiler selection, baseline and
+   DMP simulation) across figures. The architectural emulator runs once
+   per (benchmark, input set): its event stream is captured into a
+   packed [Trace.t] under the per-benchmark lock; the trace is decoded
+   once into a flat [Image.t] and every later baseline / dmp call
+   replays the image (profiling still walks the packed trace — it runs
+   once per pair anyway).
 
    Storage: every stage value lives in one runner-wide byte-budgeted
    [Mem_cache] (an LRU keyed by "kind/benchmark/input-set[/params]"),
@@ -18,9 +19,11 @@
    Concurrency: every entry owns a lock that guards its one-shot
    linking and its stage computations, so a stage is computed exactly
    once no matter how many domains ask for it (while cached), and
-   distinct benchmarks proceed in parallel. The runner-wide state
-   (stage timings, the mem cache) has its own locking and is never
-   held across a stage computation. *)
+   distinct benchmarks proceed in parallel. Selections and DMP
+   simulations are keyed batches instead: they take the lock only to
+   fetch their inputs, and dedup by key within a batch. The runner-wide
+   state (stage timings, the mem cache) has its own locking and is
+   never held across a stage computation. *)
 
 open Dmp_ir
 open Dmp_exec
@@ -32,6 +35,23 @@ type sim_mode =
   | Exact
   | Segmented of int
   | Sampled of { segments : int; warmup : int; window : int }
+
+type profile_source =
+  | Exact_profile
+  | Sampled_profile of Dmp_sampling.Sampler.config
+  | Transformed_profile of Dmp_transform.Pass_config.t
+
+type selector =
+  | Compiler of Dmp_core.Select.config
+  | Simple of Dmp_core.Simple_select.algo
+
+type request = {
+  bench : string;
+  set : Input_gen.set;
+  source : profile_source;
+  selector : selector;
+  two_d : int option;
+}
 
 type entry = {
   spec : Spec.t;
@@ -116,9 +136,6 @@ let key_sampled name set sampling =
     (Dmp_sampling.Sampler.config_to_string sampling)
 
 let key_baseline name set = Printf.sprintf "baseline/%s/%s" name (set_str set)
-
-let key_select name set algo =
-  Printf.sprintf "select/%s/%s/%s" name (set_str set) algo
 
 let names t = t.order
 let jobs t = t.jobs
@@ -391,31 +408,6 @@ let baseline ?(set = Input_gen.Reduced) t name =
           Mem_cache.add t.mem key ~size:(Mem_cache.approx_size s) (VStats s);
           s)
 
-(* Compiler selection as a cached stage: the annotation a named
-   selection algorithm derives from the (benchmark, input set) profile.
-   The serving daemon's annotate / run requests hit this instead of
-   re-running Alg_exact / Alg_freq / the cost model per request. *)
-let selection t name set ~algo =
-  let variant =
-    match Variants.of_string algo with
-    | Some v -> v
-    | None -> invalid_arg ("Runner.selection: unknown algorithm " ^ algo)
-  in
-  let e = entry t name in
-  with_lock e (fun () ->
-      let key = key_select name set algo in
-      match Mem_cache.find t.mem key with
-      | Some (VAnn a) -> a
-      | Some _ | None ->
-          let linked = linked_locked t e in
-          let p = profile_locked t e set in
-          let a =
-            timed t "select (run)" (fun () ->
-                Variants.annotate variant linked p)
-          in
-          Mem_cache.add t.mem key ~size:(Mem_cache.approx_size a) (VAnn a);
-          a)
-
 (* Configuration fields that shape the long-lived architectural state a
    checkpoint restores in sampled mode — predictor kind, confidence and
    cache geometry — plus the ROB size the resume validates against.
@@ -527,42 +519,140 @@ let key_dmpstats t name set config mode ann =
   Printf.sprintf "dmpstats/%s/%s/%s/%s/%s" name (set_str set)
     (config_digest config) (mode_str mode) (annotation_fingerprint t name ann)
 
-(* The dedup memo, shared by [dmp_batch], [dmp_memo] and
-   [transformed_dmp], layered over the disk cache. An in-memory hit
-   answers [requests] tasks, each counted as a dedup hit. On a memory
-   miss the disk entry (if any) stands in for the simulation: it is
-   counted under ["<sim> (disk cache)"] and the other [requests - 1]
-   tasks as dedup hits, so simulations + disk-cache hits + dedup hits
-   always equal the tasks submitted. Stored and returned statistics are
-   copies, so no caller can alias the memo. *)
-let memo_add_mem t key s =
-  Mem_cache.add t.mem key ~size:(Mem_cache.approx_size s)
-    (VStats (Stats.copy s))
+(* The memo kinds layered over the disk cache: DMP statistics (of the
+   original or the transformed program) and compiler selections. Each
+   names its accounting rows, its disk codec and its slot in the
+   stage LRU. Statistics are stored and delivered as copies, so no
+   caller can alias the memo; annotations are never mutated once
+   selected, so every requester shares one. *)
+type 'v memo_kind = {
+  disk_row : string;
+  dedup_row : string;
+  load :
+    Disk_cache.t -> bench:string -> set:Input_gen.set -> key:string ->
+    'v option;
+  store :
+    Disk_cache.t -> bench:string -> set:Input_gen.set -> key:string -> 'v ->
+    unit;
+  inject : 'v -> value;
+  project : value -> 'v option;
+  copy : 'v -> 'v;
+}
 
-let memo_find t ~sim ~bench ~set key ~requests =
-  match Mem_cache.find t.mem key with
-  | Some (VStats s) ->
-      counted t "dmp (dedup hit)" requests;
-      Some s
-  | Some _ | None -> (
+let stats_memo sim =
+  {
+    disk_row = sim ^ " (disk cache)";
+    dedup_row = "dmp (dedup hit)";
+    load = Disk_cache.load_stats;
+    store = Disk_cache.store_stats;
+    inject = (fun s -> VStats (Stats.copy s));
+    project = (function VStats s -> Some s | _ -> None);
+    copy = Stats.copy;
+  }
+
+let dmp_kind = stats_memo "dmp"
+let tdmp_kind = stats_memo "tdmp"
+
+let selection_kind =
+  {
+    disk_row = "select (disk cache)";
+    dedup_row = "select (dedup hit)";
+    load = Disk_cache.load_selection;
+    store = Disk_cache.store_selection;
+    inject = (fun a -> VAnn a);
+    project = (function VAnn a -> Some a | _ -> None);
+    copy = Fun.id;
+  }
+
+(* An in-memory hit answers [requests] tasks, each counted as a dedup
+   hit. On a memory miss the disk entry (if any) stands in for the
+   computation: it is counted under the kind's disk-cache row and the
+   other [requests - 1] tasks as dedup hits, so computations +
+   disk-cache hits + dedup hits always equal the tasks submitted. *)
+let memo_find t kind ~bench ~set key ~requests =
+  match Option.bind (Mem_cache.find t.mem key) kind.project with
+  | Some v ->
+      counted t kind.dedup_row requests;
+      Some v
+  | None -> (
       let t0 = Unix.gettimeofday () in
-      match
-        Option.bind t.cache (fun c -> Disk_cache.load_stats c ~bench ~set ~key)
-      with
-      | Some s ->
-          record t (sim ^ " (disk cache)") ~calls:1
-            (Unix.gettimeofday () -. t0);
-          counted t "dmp (dedup hit)" (requests - 1);
-          memo_add_mem t key s;
-          Some s
+      match Option.bind t.cache (fun c -> kind.load c ~bench ~set ~key) with
+      | Some v ->
+          record t kind.disk_row ~calls:1 (Unix.gettimeofday () -. t0);
+          counted t kind.dedup_row (requests - 1);
+          Mem_cache.add t.mem key ~size:(Mem_cache.approx_size v)
+            (kind.inject v);
+          Some v
       | None -> None)
 
-(* Publish a simulation's statistics to the memo and the disk cache.
-   [dmp_batch] calls it from the worker that ran the simulation, so the
-   disk write overlaps the other workers' simulations. *)
-let memo_add t ~bench ~set key s =
-  memo_add_mem t key s;
-  Option.iter (fun c -> Disk_cache.store_stats c ~bench ~set ~key s) t.cache
+(* Publish a computed value to the memo and the disk cache. *)
+let memo_add t kind ~bench ~set key v =
+  Mem_cache.add t.mem key ~size:(Mem_cache.approx_size v) (kind.inject v);
+  Option.iter (fun c -> kind.store c ~bench ~set ~key v) t.cache
+
+(* One distinct computation of a batch: the representative task, its
+   memo key and the task slots its value goes to. *)
+type 'a group = {
+  g_task : 'a;
+  g_key : string;
+  mutable g_slots : int list;  (* reverse order *)
+}
+
+(* A keyed batch: group [tasks] by memo key, in first-occurrence order;
+   answer every group the memo or the disk cache holds; compute the
+   rest with [run publish pending], which returns one value per pending
+   group, in order, each passed through [publish] by the domain that
+   computed it (so disk writes overlap the other computations); and
+   deliver each group's value to every slot that asked for it. Each
+   group adds one computation or disk-cache call and each other slot
+   one dedup hit, so the rows grow by exactly the number of tasks.
+   [where] names the (benchmark, input set) a task's entry is filed
+   under. *)
+let keyed_batch t kind ~key ~where ~run tasks =
+  let groups : (string, _ group) Hashtbl.t = Hashtbl.create 32 in
+  let order = ref [] in
+  List.iteri
+    (fun i task ->
+      let k = key task in
+      match Hashtbl.find_opt groups k with
+      | Some g -> g.g_slots <- i :: g.g_slots
+      | None ->
+          let g = { g_task = task; g_key = k; g_slots = [ i ] } in
+          Hashtbl.replace groups k g;
+          order := g :: !order)
+    tasks;
+  let results = Array.make (List.length tasks) None in
+  let deliver g v =
+    List.iter (fun i -> results.(i) <- Some (kind.copy v)) g.g_slots
+  in
+  let pending =
+    List.filter
+      (fun g ->
+        let bench, set = where g.g_task in
+        match
+          memo_find t kind ~bench ~set g.g_key
+            ~requests:(List.length g.g_slots)
+        with
+        | Some v ->
+            deliver g v;
+            false
+        | None -> true)
+      (List.rev !order)
+  in
+  let publish g v =
+    let bench, set = where g.g_task in
+    memo_add t kind ~bench ~set g.g_key v;
+    v
+  in
+  (match pending with
+  | [] -> ()
+  | _ ->
+      List.iter2
+        (fun g v ->
+          deliver g v;
+          counted t kind.dedup_row (List.length g.g_slots - 1))
+        pending (run publish pending));
+  Array.to_list (Array.map Option.get results)
 
 (* ---------- software-predication (transformed-program) stages ----------
 
@@ -765,7 +855,7 @@ let transformed_dmp ?(tconfig = Pass_config.default) ?(set = Input_gen.Reduced)
           (config_digest config) fp
       in
       let bench = sw_bench name tfp in
-      match memo_find t ~sim:"tdmp" ~bench ~set key ~requests:1 with
+      match memo_find t tdmp_kind ~bench ~set key ~requests:1 with
       | Some s -> Stats.copy s
       | None ->
           let img = timage_locked t e set tconfig in
@@ -774,8 +864,90 @@ let transformed_dmp ?(tconfig = Pass_config.default) ?(set = Input_gen.Reduced)
                 Sim.run_image ~config ~annotation ?max_insts:t.max_insts
                   tlinked img)
           in
-          memo_add t ~bench ~set key s;
+          memo_add t tdmp_kind ~bench ~set key s;
           s)
+
+(* ---------- compiler selection ----------
+
+   A selection is a pure function of the program and profile it reads
+   (named by the benchmark, the input set and the profile source), the
+   selector and the optional 2D-profile pre-filter; the code running it
+   is pinned by the disk cache's fingerprint. So the key below names a
+   selection exactly, equal selections requested by different figures
+   share one memo entry and one disk entry, and a warm cache answers
+   every one of them without reading a profile. *)
+
+let request ?(set = Input_gen.Reduced) ?(source = Exact_profile) ?two_d bench
+    selector =
+  (match (selector, two_d) with
+  | Simple _, Some _ ->
+      invalid_arg "Runner.request: the 2D pre-filter needs a Compiler selector"
+  | (Compiler _ | Simple _), _ -> ());
+  { bench; set; source; selector; two_d }
+
+let variant = function
+  | Variants.Simple algo -> Simple algo
+  | (Variants.Heur _ | Variants.Cost _) as v -> Compiler (Variants.to_config v)
+
+let source_str = function
+  | Exact_profile -> "exact"
+  | Sampled_profile s -> "sampled:" ^ Dmp_sampling.Sampler.config_to_string s
+  | Transformed_profile c -> "sw:" ^ Pass_config.fingerprint c
+
+(* The selector in full — the selection config with every [Params]
+   field, or the simple algorithm with its seed or threshold — digested
+   from its unshared marshalled form, so structurally equal selectors
+   share a key however they were built. *)
+let key_selection r =
+  Printf.sprintf "select/%s/%s/%s/%s/%s" r.bench (set_str r.set)
+    (source_str r.source)
+    (Digest.to_hex
+       (Digest.string (Marshal.to_string r.selector [ Marshal.No_sharing ])))
+    (match r.two_d with None -> "-" | Some n -> "2d:" ^ string_of_int n)
+
+(* Each input is fetched through its own stage, under the benchmark
+   lock; the selection itself runs outside it. *)
+let run_selection t r =
+  let linked, profile =
+    match r.source with
+    | Exact_profile -> (linked t r.bench, profile t r.bench r.set)
+    | Sampled_profile s -> (linked t r.bench, sampled_profile t r.bench r.set s)
+    | Transformed_profile tconfig ->
+        ( (transform ~tconfig t r.bench r.set).Dmp_transform.Pipeline.linked,
+          transformed_profile ~tconfig t r.bench r.set )
+  in
+  let two_d =
+    Option.map
+      (fun max_insts ->
+        timed t "2d-profile (collect)" (fun () ->
+            Two_d.collect ~max_insts linked ~input:(input t r.bench r.set)))
+      r.two_d
+  in
+  timed t "select (run)" (fun () ->
+      match r.selector with
+      | Compiler config -> Dmp_core.Select.run ~config ?two_d linked profile
+      | Simple algo -> Dmp_core.Simple_select.run algo linked profile)
+
+(* A lone pending selection runs inline: spawning the pool's domains
+   costs more than it could save. *)
+let selections t requests =
+  List.iter (fun r -> ignore (entry t r.bench)) requests;
+  keyed_batch t selection_kind ~key:key_selection
+    ~where:(fun r -> (r.bench, r.set))
+    ~run:(fun publish pending ->
+      let f g = publish g (run_selection t g.g_task) in
+      match pending with
+      | [ g ] -> [ f g ]
+      | _ -> Pool.with_pool ?jobs:t.jobs (fun pool -> Pool.map pool ~f pending))
+    requests
+
+let selection t name set ~algo =
+  match Variants.of_string algo with
+  | None -> invalid_arg ("Runner.selection: unknown algorithm " ^ algo)
+  | Some v -> (
+      match selections t [ request ~set name (variant v) ] with
+      | [ a ] -> a
+      | _ -> assert false)
 
 (* How independent per-segment simulations are spread; polymorphic so
    one fanner serves both segment task shapes. *)
@@ -831,76 +1003,30 @@ let dmp_with ~fan:{ fan } ?(set = Input_gen.Reduced) ?(config = Config.dmp) ?mod
 let dmp ?set ?config ?mode t name annotation =
   dmp_with ~fan:{ fan = List.map } ?set ?config ?mode t name annotation
 
-(* One distinct simulation of a batch: the representative task, its
-   memo key and the task slots its statistics go to. *)
-type group = {
-  g_name : string;
-  g_ann : Dmp_core.Annotation.t;
-  g_key : string;
-  mutable g_slots : int list;  (* reverse order *)
-}
-
+(* Each simulation is independent and deterministic, and [Pool.map]
+   returns results in submission order, so the batch returns exactly
+   what a sequential [List.map] over [dmp] would — with any [-j 1] /
+   [-j N] difference invisible in the output. Shared inputs (linked
+   program, trace, image) are memoized under the entry lock, so
+   concurrent tasks of one benchmark derive them exactly once. Under a
+   segment-splitting mode each task additionally fans its segments onto
+   the same pool (a nested, re-entrant [Pool.map]), so even a single
+   benchmark's simulation spreads across the workers. *)
 let dmp_batch ?(set = Input_gen.Reduced) ?(config = Config.dmp) ?mode t tasks =
   let mode = Option.value mode ~default:t.sim_mode in
   validate_sim_mode mode;
-  (* Group the tasks by memo key, in first-occurrence order: each group
-     is simulated at most once (not at all on a memo hit from an earlier
-     batch or a disk-cache hit from an earlier process), and its
-     statistics go, as copies, to every slot that asked for them. *)
-  let groups : (string, group) Hashtbl.t = Hashtbl.create 32 in
-  let order = ref [] in
-  List.iteri
-    (fun i (name, ann) ->
-      let key = key_dmpstats t name set config mode ann in
-      match Hashtbl.find_opt groups key with
-      | Some g -> g.g_slots <- i :: g.g_slots
-      | None ->
-          let g = { g_name = name; g_ann = ann; g_key = key; g_slots = [ i ] } in
-          Hashtbl.replace groups key g;
-          order := g :: !order)
-    tasks;
-  let results = Array.make (List.length tasks) None in
-  let deliver g s =
-    List.iter (fun i -> results.(i) <- Some (Stats.copy s)) g.g_slots
-  in
-  let pending =
-    List.filter
-      (fun g ->
-        match
-          memo_find t ~sim:"dmp" ~bench:g.g_name ~set g.g_key
-            ~requests:(List.length g.g_slots)
-        with
-        | Some s ->
-            deliver g s;
-            false
-        | None -> true)
-      (List.rev !order)
-  in
-  (* Each simulation is independent and deterministic, and [Pool.map]
-     returns results in submission order, so the batch returns exactly
-     what a sequential [List.map] over [dmp] would — with any [-j 1] /
-     [-j N] difference invisible in the output. Shared inputs (linked
-     program, trace, image) are memoized under the entry lock, so
-     concurrent tasks of one benchmark derive them exactly once. Under a
-     segment-splitting mode each task additionally fans its segments
-     onto the same pool (a nested, re-entrant [Pool.map]), so even a
-     single benchmark's simulation spreads across the workers. *)
-  Pool.with_pool ?jobs:t.jobs (fun pool ->
-      let fan = { fan = (fun f xs -> Pool.map pool ~f xs) } in
-      let stats =
-        Pool.map pool
-          ~f:(fun g ->
-            let s = dmp_with ~fan ~set ~config ~mode t g.g_name g.g_ann in
-            memo_add t ~bench:g.g_name ~set g.g_key s;
-            s)
-          pending
-      in
-      List.iter2
-        (fun g s ->
-          deliver g s;
-          counted t "dmp (dedup hit)" (List.length g.g_slots - 1))
-        pending stats);
-  Array.to_list (Array.map Option.get results)
+  keyed_batch t dmp_kind
+    ~key:(fun (name, ann) -> key_dmpstats t name set config mode ann)
+    ~where:(fun (name, _) -> (name, set))
+    ~run:(fun publish pending ->
+      Pool.with_pool ?jobs:t.jobs (fun pool ->
+          let fan = { fan = (fun f xs -> Pool.map pool ~f xs) } in
+          Pool.map pool
+            ~f:(fun g ->
+              let name, ann = g.g_task in
+              publish g (dmp_with ~fan ~set ~config ~mode t name ann))
+            pending))
+    tasks
 
 (* Memoized single simulation: same dedup memo as {!dmp_batch}, for
    callers that arrive one request at a time (the serving daemon). *)
@@ -909,11 +1035,11 @@ let dmp_memo ?(set = Input_gen.Reduced) ?(config = Config.dmp) ?mode t name
   let mode = Option.value mode ~default:t.sim_mode in
   validate_sim_mode mode;
   let key = key_dmpstats t name set config mode annotation in
-  match memo_find t ~sim:"dmp" ~bench:name ~set key ~requests:1 with
+  match memo_find t dmp_kind ~bench:name ~set key ~requests:1 with
   | Some s -> Stats.copy s
   | None ->
       let s = dmp ~set ~config ~mode t name annotation in
-      memo_add t ~bench:name ~set key s;
+      memo_add t dmp_kind ~bench:name ~set key s;
       s
 
 let prefetch ?(profile_sets = [ Input_gen.Reduced ])

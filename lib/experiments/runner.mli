@@ -1,5 +1,5 @@
 (** Shared experiment pipeline with caching of linking, trace capture,
-    profiling and baseline simulation across figures.
+    profiling, compiler selection and simulation across figures.
 
     The architectural emulator runs once per (benchmark, input set):
     its event stream is captured into a packed {!Dmp_exec.Trace} on
@@ -41,13 +41,15 @@ val create :
 (** Defaults to the full 17-benchmark suite with uncapped simulations.
     [max_insts] caps trace capture, profiling and simulation alike (for
     quick runs and tests). When [cache_dir] is given, traces, profiles,
-    baseline statistics and the statistics of every memoized DMP
-    simulation ({!dmp_batch}, {!dmp_memo}, {!transformed_dmp})
-    additionally persist across processes in a {!Disk_cache} rooted
-    there, under a fingerprint that digests the code computing them;
+    baseline statistics, the statistics of every memoized DMP
+    simulation ({!dmp_batch}, {!dmp_memo}, {!transformed_dmp}) and every
+    compiler selection ({!selections}) additionally persist across
+    processes in a {!Disk_cache} rooted there, under a fingerprint that
+    digests the code computing them;
     corrupt or stale entries are recomputed transparently. [jobs] sets
     the worker count of every parallel stage
-    ({!prefetch} without an explicit override, {!dmp_batch}); it
+    ({!prefetch} without an explicit override, {!dmp_batch},
+    {!selections}); it
     defaults to [Dmp_exec.Pool.default_jobs ()] and [jobs = 1] runs
     every stage inline on the calling domain. The produced statistics
     and report output are byte-identical for every [jobs] value.
@@ -145,13 +147,81 @@ val transformed_dmp :
     the other transformed-program artifacts; stages
     ["tdmp (simulate)"] / ["tdmp (disk cache)"]. *)
 
+(** {2 Compiler selection}
+
+    Every selection the figures, the ablations and the daemon make is
+    one keyed stage: memoized in the stage LRU, persisted in the disk
+    cache, deduplicated within a batch and spread over the pool. *)
+
+(** Where a selection's profile comes from. *)
+type profile_source =
+  | Exact_profile  (** {!profile} of the request's input set *)
+  | Sampled_profile of Dmp_sampling.Sampler.config
+      (** {!sampled_profile} under that sampling configuration *)
+  | Transformed_profile of Dmp_transform.Pass_config.t
+      (** {!transformed_profile}: the software-predicated program under
+          that pass configuration, selected from its own profile *)
+
+(** What a selection runs. *)
+type selector =
+  | Compiler of Dmp_core.Select.config
+      (** {!Dmp_core.Select.run} under the full configuration: mode,
+          techniques and every {!Dmp_core.Params} field *)
+  | Simple of Dmp_core.Simple_select.algo
+      (** a simple selector of Figure 8, with its seed or threshold *)
+
+type request = private {
+  bench : string;
+  set : Input_gen.set;
+  source : profile_source;
+  selector : selector;
+  two_d : int option;
+      (** the Section 8.3 pre-filter: drop branches a 2D profile of
+          that many instructions ({!Dmp_profile.Two_d.collect}) finds
+          easy in every phase *)
+}
+(** One selection, named by everything it reads. *)
+
+val request :
+  ?set:Input_gen.set -> ?source:profile_source -> ?two_d:int -> string ->
+  selector -> request
+(** [set] defaults to [Reduced] and [source] to [Exact_profile].
+    @raise Invalid_argument when [two_d] is given with a [Simple]
+    selector, which cannot apply it. *)
+
+val variant : Variants.t -> selector
+(** The selector a named variant runs ({!Variants.to_config} for the
+    heuristic and cost-model stacks). *)
+
+val selections : t -> request list -> Dmp_core.Annotation.t list
+(** The annotation of every request, in request order. The batch groups
+    its requests by key — benchmark, input set, profile source, the
+    selector in full and the 2D pre-filter — so equal requests from
+    different figures share one entry. A group the runner-wide memo
+    holds (from an earlier batch) is answered from it; failing that, a
+    runner with a disk cache answers it from the entry
+    ["<bench>-<set>.sel-<md5 of key>"] an earlier process stored. The
+    remaining groups run once each: their profile is fetched through
+    its own stage under the benchmark lock, the selection runs outside
+    it, and the worker that ran it persists the result. Several pending
+    groups are spread over a {!Dmp_exec.Pool} of the runner's [jobs]
+    workers; a lone one runs inline. Delivered annotations are shared,
+    not copied: callers must not mutate them.
+
+    Rows: ["select (run)"] per selection run, ["select (disk cache)"]
+    per disk-cache hit (hits only), and the zero-time
+    ["select (dedup hit)"] per other request, so the three grow by
+    exactly the number of requests. A 2D pre-filter's profile is
+    collected by the selection that needs it, under
+    ["2d-profile (collect)"].
+    @raise Invalid_argument on an unknown benchmark. *)
+
 val selection : t -> string -> Input_gen.set -> algo:string -> Dmp_core.Annotation.t
-(** The annotation the named selection algorithm (a {!Variants} name,
-    e.g. ["all-best-heur"]) derives from the benchmark's profile.
-    Cached per (benchmark, input set, algorithm) in the in-memory LRU;
-    stage label ["select (run)"]. The serving daemon's annotate / run
-    requests resolve selections through this instead of re-running the
-    compiler per request.
+(** [selections] of one request: the named selection algorithm (a
+    {!Variants} name, e.g. ["all-best-heur"]) on the benchmark's exact
+    profile. The serving daemon's annotate / run requests resolve
+    selections through this instead of re-running the compiler per
+    request.
     @raise Invalid_argument on an unknown algorithm name. *)
 
 val dmp :
@@ -226,23 +296,26 @@ val amean : float list -> float
     ["link"], ["trace (capture)"] / ["trace (disk cache)"],
     ["profile (collect)"] / ["profile (disk cache)"],
     ["sprofile (collect)"] / ["sprofile (disk cache)"],
+    ["2d-profile (collect)"],
     ["baseline (simulate)"] / ["baseline (disk cache)"],
+    ["select (run)"] / ["select (disk cache)"],
     ["dmp (simulate)"] / ["dmp (disk cache)"] and — under a
     segment-splitting {!sim_mode} —
     ["ckpt (capture)"] for checkpoint capture runs (shared reference
     captures in [Sampled] mode, per-task captures in [Segmented]
     mode). A warm persistent cache is visible as the
-    capture/collect/simulate rows dropping to zero calls.
+    capture/collect/select/simulate rows dropping to zero calls.
 
-    Unlike the other disk-cache rows, ["dmp (disk cache)"] and
-    ["tdmp (disk cache)"] count hits only: each call stands in for one
-    simulation. ["dmp (dedup hit)"] is an accounting row (calls
-    counted, no wall time attributed): the {!dmp_batch} / {!dmp_memo} /
-    {!transformed_dmp} requests answered by another request's
-    simulation or disk entry. ["image (decode)"] counts
-    actual trace decodes — at most one per (benchmark, input set,
-    instruction cap) per process, across every runner and simulation
-    mode, thanks to a process-global weak memo of decoded images. *)
+    Unlike the other disk-cache rows, ["dmp (disk cache)"],
+    ["tdmp (disk cache)"] and ["select (disk cache)"] count hits only:
+    each call stands in for one simulation or selection.
+    ["dmp (dedup hit)"] and ["select (dedup hit)"] are accounting rows
+    (calls counted, no wall time attributed): the requests answered by
+    another request's simulation, selection or disk entry.
+    ["image (decode)"] counts actual trace decodes — at most one per
+    (benchmark, input set, instruction cap) per process, across every
+    runner and simulation mode, thanks to a process-global weak memo of
+    decoded images. *)
 
 val timings : t -> (string * int * float) list
 (** [(stage, calls, total seconds)], sorted by stage label. *)

@@ -40,13 +40,12 @@ let run ?(segments = default_segments) ?(warmup = default_warmup)
   let names = Runner.names runner in
   let set = Input_gen.Reduced in
   let anns =
-    List.map
-      (fun name ->
-        let linked = Runner.linked runner name in
-        ( name,
-          Variants.annotate Variants.all_best_heur linked
-            (Runner.profile runner name set) ))
-      names
+    List.combine names
+      (Runner.selections runner
+         (List.map
+            (fun name ->
+              Runner.request ~set name (Runner.variant Variants.all_best_heur))
+            names))
   in
   let exact = Runner.dmp_batch ~set ~mode:Runner.Exact runner anns in
   let seg =

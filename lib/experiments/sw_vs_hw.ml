@@ -35,8 +35,6 @@ type row = {
   both_ipc : float;  (* transformed binary + re-selection, DMP machine *)
 }
 
-let algo = "all-best-heur"
-
 (* Dominant structural shape of the benchmark's selected diverge
    branches, mirroring the checker generator's classification: loop
    branches, always-predicate (short) hammocks, return CFMs, then the
@@ -68,30 +66,36 @@ let shape_of_annotation ann =
   in
   match best with Some (n, _) -> n | None -> "none"
 
-let run ?tconfig runner =
+let run ?(tconfig = T.Pass_config.default) runner =
   let names = Runner.names runner in
   let set = Input_gen.Reduced in
-  let anns =
-    List.map (fun n -> (n, Runner.selection runner n set ~algo)) names
+  let heur = Runner.variant Variants.all_best_heur in
+  (* The original and the transformed programs' selections, in one
+     batch of the runner's selection stage. *)
+  let anns, tanns =
+    let requests source =
+      List.map (fun n -> Runner.request ~set ~source n heur) names
+    in
+    let all =
+      Runner.selections runner
+        (requests Runner.Exact_profile
+        @ requests (Runner.Transformed_profile tconfig))
+    in
+    let nb = List.length names in
+    ( List.combine names (List.filteri (fun i _ -> i < nb) all),
+      List.filteri (fun i _ -> i >= nb) all )
   in
   let hw = Runner.dmp_batch runner anns in
   let swboth =
     Dmp_exec.Pool.with_pool ?jobs:(Runner.jobs runner) (fun pool ->
         Dmp_exec.Pool.map pool
-          ~f:(fun name ->
-            let r = Runner.transform ?tconfig runner name set in
+          ~f:(fun (name, tann) ->
+            let r = Runner.transform ~tconfig runner name set in
             let base = Runner.baseline ~set runner name in
-            let sw = Runner.transformed_baseline ?tconfig ~set runner name in
-            let tann =
-              Variants.annotate Variants.all_best_heur
-                r.T.Pipeline.linked
-                (Runner.transformed_profile ?tconfig runner name set)
-            in
-            let both =
-              Runner.transformed_dmp ?tconfig ~set runner name tann
-            in
+            let sw = Runner.transformed_baseline ~tconfig ~set runner name in
+            let both = Runner.transformed_dmp ~tconfig ~set runner name tann in
             (r, base, sw, both))
-          names)
+          (List.combine names tanns))
   in
   List.map2
     (fun ((name, ann), hws) (r, base, sw, both) ->

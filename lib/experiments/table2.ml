@@ -16,14 +16,12 @@ type row = {
 }
 
 let compute runner =
-  List.map
-    (fun name ->
+  let names = Runner.names runner in
+  let heur = Runner.variant Variants.all_best_heur in
+  List.map2
+    (fun name ann ->
       let linked = Runner.linked runner name in
-      let profile = Runner.profile runner name Dmp_workload.Input_gen.Reduced in
       let base = Runner.baseline runner name in
-      let ann =
-        Variants.annotate Variants.all_best_heur linked profile
-      in
       {
         name;
         base_ipc = Stats.ipc base;
@@ -34,7 +32,9 @@ let compute runner =
         diverge_branches = Annotation.count ann;
         avg_cfm = Annotation.average_cfm_count ann;
       })
-    (Runner.names runner)
+    names
+    (Runner.selections runner
+       (List.map (fun name -> Runner.request name heur) names))
 
 let render rows =
   let buf = Buffer.create 1024 in

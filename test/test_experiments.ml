@@ -502,6 +502,119 @@ let test_disk_cache_persisted_sims () =
       check Alcotest.int "a mode not yet run simulates once" 2
         (stage_calls r2 "dmp (simulate)"))
 
+(* Every selection persists. One batch on li asks for all-best-heur
+   twice, two Fig-7-style parameter points, every-br, a sampled-profile
+   source and the 2D pre-filter. Cold, each distinct key runs once and
+   matches a direct run of the compiler; a fresh runner on the same
+   directory answers the batch from disk with Marshal-identical
+   annotations, running no selection and collecting no 2D profile. The
+   reference pairs select differently, so a key that dropped the
+   parameters, the profile source or the 2D pre-filter would hand one
+   request another's annotation. *)
+let test_disk_cache_persisted_selections () =
+  let module Select = Dmp_core.Select in
+  let module Params = Dmp_core.Params in
+  let sampling =
+    { Dmp_sampling.Sampler.mode = Dmp_sampling.Sampler.Periodic;
+      period = 1_000; seed = 42 }
+  in
+  let fig7 max_instr min_merge_prob =
+    Runner.Compiler
+      { Select.mode = Select.Heuristic;
+        techniques = [ Select.Exact; Select.Freq ];
+        params =
+          { Params.default with
+            Params.max_instr;
+            max_cbr = max 1 (max_instr / 10);
+            min_merge_prob } }
+  in
+  let heur = Runner.variant Variants.all_best_heur in
+  let requests =
+    [
+      Runner.request "li" heur;
+      Runner.request "li" (fig7 10 0.01);
+      Runner.request "li" (fig7 200 0.9);
+      Runner.request "li" heur;
+      Runner.request "li" (Runner.Simple Dmp_core.Simple_select.Every_br);
+      Runner.request ~source:(Runner.Sampled_profile sampling) "li" heur;
+      Runner.request ~two_d:200_000 "li" heur;
+    ]
+  in
+  let n = List.length requests in
+  let ann_bytes (a : Dmp_core.Annotation.t) = Marshal.to_string a [] in
+  let reference =
+    let r =
+      Runner.create ~benchmarks:[ Registry.find "li" ] ~max_insts:80_000 ()
+    in
+    let linked = Runner.linked r "li" in
+    List.map
+      (fun (req : Runner.request) ->
+        let profile =
+          match req.source with
+          | Runner.Exact_profile -> Runner.profile r "li" Input_gen.Reduced
+          | Runner.Sampled_profile s ->
+              Runner.sampled_profile r "li" Input_gen.Reduced s
+          | Runner.Transformed_profile _ -> assert false
+        in
+        let two_d =
+          Option.map
+            (fun max_insts ->
+              Dmp_profile.Two_d.collect ~max_insts linked
+                ~input:(Runner.input r "li" Input_gen.Reduced))
+            req.two_d
+        in
+        ann_bytes
+          (match req.selector with
+          | Runner.Compiler config -> Select.run ~config ?two_d linked profile
+          | Runner.Simple algo ->
+              Dmp_core.Simple_select.run algo linked profile))
+      requests
+  in
+  let differ i j what =
+    check Alcotest.bool (what ^ " select differently") true
+      (List.nth reference i <> List.nth reference j)
+  in
+  differ 1 2 "the two parameter points";
+  differ 0 5 "the exact and sampled profiles";
+  differ 0 6 "the plain and 2D-filtered stacks";
+  let accounted r =
+    stage_calls r "select (run)" + stage_calls r "select (disk cache)"
+    + stage_calls r "select (dedup hit)"
+  in
+  List.iter
+    (fun jobs ->
+      let runner dir =
+        Runner.create ~benchmarks:[ Registry.find "li" ] ~max_insts:80_000
+          ~cache_dir:dir ~jobs ()
+      in
+      let label what = Printf.sprintf "-j%d %s" jobs what in
+      with_temp_cache_dir (fun dir ->
+          let r1 = runner dir in
+          let cold = List.map ann_bytes (Runner.selections r1 requests) in
+          check Alcotest.bool (label "cold = direct selection") true
+            (cold = reference);
+          check Alcotest.int (label "cold: one run per distinct key") 6
+            (stage_calls r1 "select (run)");
+          check Alcotest.int (label "cold: run + disk + dedup = requests") n
+            (accounted r1);
+          check Alcotest.int (label "cold: one 2D profile") 1
+            (stage_calls r1 "2d-profile (collect)");
+          let r2 = runner dir in
+          let warm = List.map ann_bytes (Runner.selections r2 requests) in
+          check Alcotest.bool (label "warm Marshal-identical to cold") true
+            (warm = cold);
+          check Alcotest.int (label "warm: no selection") 0
+            (stage_calls r2 "select (run)");
+          check Alcotest.bool (label "warm: no 2D profile") false
+            (List.exists
+               (fun (s, _, _) -> s = "2d-profile (collect)")
+               (Runner.timings r2));
+          check Alcotest.int (label "warm: disk hit per distinct key") 6
+            (stage_calls r2 "select (disk cache)");
+          check Alcotest.int (label "warm: run + disk + dedup = requests") n
+            (accounted r2)))
+    [ 1; 2 ]
+
 (* The combined software + hardware simulation persists too, under the
    pass-fingerprint-qualified benchmark name. *)
 let test_disk_cache_transformed_dmp () =
@@ -529,14 +642,20 @@ let test_disk_cache_transformed_dmp () =
         (stage_calls r2 "tdmp (disk cache)"))
 
 let test_disk_cache_corrupt_fallback () =
-  let ann r =
-    Dmp_core.Select.run (Runner.linked r "li")
-      (Runner.profile r "li" Input_gen.Reduced)
-  in
+  let ann r = Runner.selection r "li" Input_gen.Reduced ~algo:"all-best-heur" in
+  let ann_bytes (a : Dmp_core.Annotation.t) = Marshal.to_string a [] in
   with_temp_cache_dir (fun dir ->
       let r1 = cached_runner dir in
       let p1 = profile_bytes (Runner.profile r1 "li" Input_gen.Reduced) in
+      let a1 = ann_bytes (ann r1) in
       let d1 = stats_bytes (Runner.dmp_memo r1 "li" (ann r1)) in
+      check Alcotest.bool "a selection entry was stored" true
+        (Array.exists
+           (fun f ->
+             Astring_contains.contains f ".sel-"
+             && not (Filename.check_suffix f ".atime"))
+           (Sys.readdir
+              (Filename.concat dir (Sys.readdir dir).(0))));
       (* clobber every cache entry *)
       Array.iter
         (fun sub ->
@@ -557,6 +676,10 @@ let test_disk_cache_corrupt_fallback () =
         (stage_calls r2 "profile (collect)");
       check Alcotest.int "corrupt trace entry is recaptured" 1
         (stage_calls r2 "trace (capture)");
+      check Alcotest.bool "corrupt selection entry falls back to select" true
+        (a1 = ann_bytes (ann r2));
+      check Alcotest.int "corrupt selection entry is re-run once" 1
+        (stage_calls r2 "select (run)");
       let d2 = stats_bytes (Runner.dmp_memo r2 "li" (ann r2)) in
       check Alcotest.bool "corrupt dmp entry falls back to simulate" true
         (d1 = d2);
@@ -568,6 +691,12 @@ let test_disk_cache_corrupt_fallback () =
       check Alcotest.bool "re-stored entry loads" true (p1 = p3);
       check Alcotest.int "no recompute after re-store" 0
         (stage_calls r3 "profile (collect)");
+      check Alcotest.bool "re-stored selection entry loads" true
+        (a1 = ann_bytes (ann r3));
+      check Alcotest.int "no selection after re-store" 0
+        (stage_calls r3 "select (run)");
+      check Alcotest.int "re-stored selection entry hits the disk cache" 1
+        (stage_calls r3 "select (disk cache)");
       let d3 = stats_bytes (Runner.dmp_memo r3 "li" (ann r3)) in
       check Alcotest.bool "re-stored dmp entry loads" true (d1 = d3);
       check Alcotest.int "no simulation after re-store" 0
@@ -885,6 +1014,8 @@ let () =
             test_disk_cache_sampled_round_trip;
           Alcotest.test_case "persisted simulations" `Slow
             test_disk_cache_persisted_sims;
+          Alcotest.test_case "persisted selections" `Slow
+            test_disk_cache_persisted_selections;
           Alcotest.test_case "persisted transformed simulation" `Slow
             test_disk_cache_transformed_dmp;
           Alcotest.test_case "corrupt fallback" `Slow

@@ -119,21 +119,6 @@ let test_conf_moderate_branch_mixed () =
   done;
   check Alcotest.bool "sometimes high" true (!high > 500)
 
-(* ---------- RAS ---------- *)
-
-let test_ras () =
-  let r = Ras.create ~size:4 () in
-  check Alcotest.(option int) "empty pops None" None (Ras.pop r);
-  Ras.push r 10;
-  Ras.push r 20;
-  check Alcotest.(option int) "lifo" (Some 20) (Ras.pop r);
-  check Alcotest.(option int) "lifo2" (Some 10) (Ras.pop r);
-  (* overflow wraps, dropping the oldest *)
-  List.iter (Ras.push r) [ 1; 2; 3; 4; 5 ];
-  check Alcotest.int "depth capped" 4 (Ras.depth r);
-  check Alcotest.(option int) "newest first" (Some 5) (Ras.pop r);
-  check Alcotest.(option int) "then 4" (Some 4) (Ras.pop r)
-
 (* ---------- properties ---------- *)
 
 let qcheck_predict_total =
@@ -288,7 +273,6 @@ let () =
           Alcotest.test_case "moderate -> mixed" `Quick
             test_conf_moderate_branch_mixed;
         ] );
-      ("ras", [ Alcotest.test_case "push/pop/overflow" `Quick test_ras ]);
       ( "properties",
         [
           QCheck_alcotest.to_alcotest qcheck_predict_total;

@@ -243,36 +243,52 @@ let test_service_warm_hit () =
   check Alcotest.int "warm hit counted" 1 s.Mem_cache.hits;
   check Alcotest.int "one miss" 1 s.Mem_cache.misses
 
-(* A daemon restarted on the same cache directory answers a run request
-   from the statistics the first one persisted: a byte-identical body
-   and no simulation. *)
+(* A daemon restarted on the same cache directory answers a run and an
+   annotate request from the statistics and selections the first one
+   persisted: byte-identical bodies, no simulation and no selection. *)
 let test_service_restart_warm () =
   Helpers.with_temp_cache_dir (fun dir ->
-      let req =
-        Protocol.Run { bench = "li"; set = "reduced"; algo = "all-best-heur" }
+      let reqs =
+        [
+          Protocol.Run
+            { bench = "li"; set = "reduced"; algo = "all-best-heur" };
+          Protocol.Annotate
+            { bench = "li"; set = "reduced"; algo = "cost-edge" };
+        ]
       in
       let serve () =
         let svc =
           Service.create ~benchmarks:[ Registry.find "li" ] ~max_insts:40_000
             ~cache_dir:dir ()
         in
-        match Service.respond svc req with
-        | Ok body, _ -> (body, Runner.timings (Service.runner svc))
-        | Error e, _ -> Alcotest.failf "run failed: %s" e
+        let bodies =
+          List.map
+            (fun req ->
+              match Service.respond svc req with
+              | Ok body, _ -> body
+              | Error e, _ -> Alcotest.failf "request failed: %s" e)
+            reqs
+        in
+        (bodies, Runner.timings (Service.runner svc))
       in
       let has_row timings stage =
         List.exists (fun (s, _, _) -> s = stage) timings
       in
-      let body1, timings1 = serve () in
+      let bodies1, timings1 = serve () in
       check Alcotest.bool "first daemon simulates" true
         (has_row timings1 "dmp (simulate)");
-      let body2, timings2 = serve () in
+      check Alcotest.bool "first daemon selects" true
+        (has_row timings1 "select (run)");
+      let bodies2, timings2 = serve () in
       check Alcotest.bool "restarted daemon answers byte-identically" true
-        (body1 = body2);
+        (bodies1 = bodies2);
       check Alcotest.bool "restarted daemon does not simulate" false
         (has_row timings2 "dmp (simulate)");
+      check Alcotest.bool "restarted daemon does not select" false
+        (has_row timings2 "select (run)");
       check Alcotest.bool "restarted daemon reads the disk cache" true
-        (has_row timings2 "dmp (disk cache)"))
+        (has_row timings2 "dmp (disk cache)"
+        && has_row timings2 "select (disk cache)"))
 
 let test_service_errors () =
   let svc = small_service () in
