@@ -16,7 +16,14 @@ open Dmp_profile
 open Dmp_uarch
 open Dmp_workload
 
-type t = { root : string; dir : string; max_bytes : int option }
+(* [total] is this handle's running count of the payload bytes under
+   the root (see [enforce_cap]); it is only kept under a cap. *)
+type t = {
+  root : string;
+  dir : string;
+  max_bytes : int option;
+  total : int Atomic.t;
+}
 
 let magic = "DMPCACHE1\n"
 
@@ -50,22 +57,6 @@ let mkdir_if_absent d =
   match Sys.mkdir d 0o755 with
   | () -> ()
   | exception Sys_error _ when Sys.file_exists d && Sys.is_directory d -> ()
-
-let create ?(dir = "_cache") ?max_bytes ~max_insts () =
-  let max_bytes =
-    match max_bytes with
-    | Some _ as b -> b
-    | None -> (
-        match env_max_bytes () with
-        | Ok b -> b
-        | Error msg -> invalid_arg ("Disk_cache.create: " ^ msg))
-  in
-  mkdir_if_absent dir;
-  let sub = Filename.concat dir (fingerprint ~max_insts) in
-  mkdir_if_absent sub;
-  { root = dir; dir = sub; max_bytes }
-
-let dir t = t.dir
 
 (* ---------- access-time bookkeeping and LRU eviction ----------
 
@@ -153,35 +144,58 @@ let cache_entries root =
       | exception Sys_error _ -> [])
     subdirs
 
+let payload_bytes entries = List.fold_left (fun a (_, s) -> a + s) 0 entries
+
 let remove_entry file =
   (try Sys.remove file with Sys_error _ -> ());
   try Sys.remove (file ^ atime_suffix) with Sys_error _ -> ()
 
-(* A store under the cap only sums sizes; the sidecars are read, and
-   the entries ordered by last use, only once the total exceeds it. *)
-let enforce_cap t =
+(* The root is scanned once, when a capped handle is created; each
+   store then adds its entry's bytes to the running total, and only a
+   store that takes the total over the cap rescans the root, evicts
+   (the sidecars are read, and the entries ordered by last use, only
+   then) and resets the total to what is left. Bytes written by other
+   handles or processes are seen at that rescan. A re-stored entry
+   counts twice until then, which only makes the rescan come early. *)
+let enforce_cap t ~added =
   match t.max_bytes with
   | None -> ()
   | Some cap ->
-      let entries = cache_entries t.root in
-      let total = List.fold_left (fun a (_, s) -> a + s) 0 entries in
-      if total > cap then begin
-        let oldest_first =
+      if Atomic.fetch_and_add t.total added + added > cap then begin
+        let entries = cache_entries t.root in
+        let excess = ref (payload_bytes entries - cap) in
+        if !excess > 0 then
           List.filter_map
             (fun (file, size) ->
               Option.map (fun atime -> (file, size, atime)) (read_atime file))
             entries
           |> List.sort (fun (_, _, a) (_, _, b) -> compare a b)
-        in
-        let excess = ref (total - cap) in
-        List.iter
-          (fun (file, size, _) ->
-            if !excess > 0 then begin
-              remove_entry file;
-              excess := !excess - size
-            end)
-          oldest_first
+          |> List.iter (fun (file, size, _) ->
+                 if !excess > 0 then begin
+                   remove_entry file;
+                   excess := !excess - size
+                 end);
+        Atomic.set t.total (cap + !excess)
       end
+
+let create ?(dir = "_cache") ?max_bytes ~max_insts () =
+  let max_bytes =
+    match max_bytes with
+    | Some _ as b -> b
+    | None -> (
+        match env_max_bytes () with
+        | Ok b -> b
+        | Error msg -> invalid_arg ("Disk_cache.create: " ^ msg))
+  in
+  mkdir_if_absent dir;
+  let sub = Filename.concat dir (fingerprint ~max_insts) in
+  mkdir_if_absent sub;
+  let total =
+    match max_bytes with None -> 0 | Some _ -> payload_bytes (cache_entries dir)
+  in
+  { root = dir; dir = sub; max_bytes; total = Atomic.make total }
+
+let dir t = t.dir
 
 let path t ~bench ~set ~kind =
   Filename.concat t.dir
@@ -204,6 +218,7 @@ let store t ~bench ~set ~kind value =
   Sys.rename tmp final;
   touch_atime final;
   enforce_cap t
+    ~added:(String.length magic + 16 + String.length payload)
 
 (* Any failure — missing file, bad magic, bad digest, Marshal noise —
    is a miss; a recognisably corrupt entry is also deleted so it cannot

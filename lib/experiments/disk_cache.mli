@@ -42,13 +42,16 @@ val create :
     [max_bytes] caps the total payload bytes stored under [dir] across
     {e all} fingerprint subdirectories; it defaults to the validated
     [DMP_CACHE_BYTES] environment variable (unset means unlimited —
-    the historical behaviour). Every store re-checks the cap and evicts
-    the least-recently-used entries (ordered by a per-entry [.atime]
-    sidecar file, rewritten on every load and store; entries predating
-    the sidecars order by mtime) until the total fits; a store that
-    leaves the total under the cap reads only file sizes. Eviction is
-    crash- and race-tolerant: concurrent loads of an evicted entry are
-    ordinary misses and never raise.
+    the historical behaviour). A capped cache sums the entry sizes
+    under [dir] once, here, and keeps a running total that each store
+    adds its entry's bytes to. Only a store that takes the total over
+    the cap rescans [dir] and evicts the least-recently-used entries
+    (ordered by a per-entry [.atime] sidecar file, rewritten on every
+    load and store; entries predating the sidecars order by mtime)
+    until the total fits, so a store under the cap touches no other
+    file. Entries written by another cache value or process count from
+    the next rescan on. Eviction is crash- and race-tolerant: concurrent
+    loads of an evicted entry are ordinary misses and never raise.
     @raise Invalid_argument when no [max_bytes] is given and
     [DMP_CACHE_BYTES] is set but invalid. *)
 

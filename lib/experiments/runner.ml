@@ -1,14 +1,15 @@
 (* Shared experiment pipeline with caching of the expensive stages
    (linking, trace capture, profiling, compiler selection, baseline and
    DMP simulation) across figures. The architectural emulator runs once
-   per (benchmark, input set): its event stream is captured into a
+   per (program, input set): its event stream is captured into a
    packed [Trace.t] under the per-benchmark lock; the trace is decoded
    once into a flat [Image.t] and every later baseline / dmp call
    replays the image (profiling still walks the packed trace — it runs
-   once per pair anyway).
+   once per pair anyway). A program is a benchmark as registered or its
+   software-predicated form; both go through the same stages.
 
    Storage: every stage value lives in one runner-wide byte-budgeted
-   [Mem_cache] (an LRU keyed by "kind/benchmark/input-set[/params]"),
+   [Mem_cache] (an LRU keyed by "kind/program/input-set[/params]"),
    layered over the optional persistent [Disk_cache]. With no budget
    (the offline default) nothing is ever evicted and the behaviour is
    the old unbounded memoisation; the serving daemon runs the same
@@ -30,16 +31,19 @@ open Dmp_exec
 open Dmp_profile
 open Dmp_uarch
 open Dmp_workload
+module Pass_config = Dmp_transform.Pass_config
 
 type sim_mode =
   | Exact
   | Segmented of int
   | Sampled of { segments : int; warmup : int; window : int }
 
+type program = Original | Transformed of Pass_config.t
+
 type profile_source =
   | Exact_profile
   | Sampled_profile of Dmp_sampling.Sampler.config
-  | Transformed_profile of Dmp_transform.Pass_config.t
+  | Transformed_profile of Pass_config.t
 
 type selector =
   | Compiler of Dmp_core.Select.config
@@ -121,22 +125,7 @@ let create ?(benchmarks = Registry.all) ?max_insts ?cache_dir ?jobs
   }
 
 let mem_stats t = Mem_cache.stats t.mem
-
-(* Stage keys. The set / sampling-config / arch-key components are
-   rendered to strings (the arch key via a digest of its marshalled
-   form) so one string-keyed LRU covers every kind. *)
-
 let set_str = Input_gen.set_to_string
-let key_trace name set = Printf.sprintf "trace/%s/%s" name (set_str set)
-let key_image name set = Printf.sprintf "image/%s/%s" name (set_str set)
-let key_profile name set = Printf.sprintf "profile/%s/%s" name (set_str set)
-
-let key_sampled name set sampling =
-  Printf.sprintf "sprofile/%s/%s/%s" name (set_str set)
-    (Dmp_sampling.Sampler.config_to_string sampling)
-
-let key_baseline name set = Printf.sprintf "baseline/%s/%s" name (set_str set)
-
 let names t = t.order
 let jobs t = t.jobs
 
@@ -185,50 +174,198 @@ let linked t name =
 
 let input t name set = (entry t name).spec.Spec.input set
 
-(* Caller must hold [e.lock]. Captured with the runner's own
-   [max_insts] cap, which also fingerprints the disk cache, so a
-   persisted trace always covers exactly what the replaying stages
-   consume. *)
-let trace_locked t e set =
-  let key = key_trace e.spec.Spec.name set in
-  match Mem_cache.find t.mem key with
-  | Some (VTrace tr) -> tr
-  | Some _ | None ->
-      let linked = linked_locked t e in
-      let name = e.spec.Spec.name in
-      let cached =
-        match t.cache with
-        | None -> None
-        | Some c ->
-            timed t "trace (disk cache)" (fun () ->
-                Disk_cache.load_trace c ~bench:name ~set)
-      in
-      let tr =
-        match cached with
-        | Some tr -> tr
-        | None ->
-            let tr =
-              timed t "trace (capture)" (fun () ->
-                  Trace.capture ?max_insts:t.max_insts linked
-                    ~input:(e.spec.Spec.input set))
-            in
-            Option.iter
-              (fun c -> Disk_cache.store_trace c ~bench:name ~set tr)
-              t.cache;
-            tr
-      in
-      Mem_cache.add t.mem key ~size:(Trace.byte_size tr) (VTrace tr);
-      tr
+(* The name a program's stage values are keyed and persisted under. A
+   transformed program's embeds the pass-config fingerprint, so its
+   entries can never collide with the original program's (or another
+   pass config's). *)
+let filed name = function
+  | Original -> name
+  | Transformed c -> Printf.sprintf "%s+sw-%s" name (Pass_config.fingerprint c)
 
-let trace t name set =
-  let e = entry t name in
-  with_lock e (fun () -> trace_locked t e set)
+(* ---------- the generic stage ----------
+
+   Every stage value kind is described once: the subject its
+   accounting rows are named after, its slot in the stage LRU, its byte
+   size, what each requester receives (statistics are copied so no
+   caller can alias the memo; every other value is shared, read-only)
+   and, for the kinds that persist, its disk codec. Each stage's
+   compute closure times itself, after fetching its inputs through
+   their own stages, so no row contains another. *)
+
+type 'v codec = {
+  load :
+    Disk_cache.t -> bench:string -> set:Input_gen.set -> key:string ->
+    'v option;
+  store :
+    Disk_cache.t -> bench:string -> set:Input_gen.set -> key:string -> 'v ->
+    unit;
+}
+
+type 'v kind = {
+  subject : string;
+  inject : 'v -> value;
+  project : value -> 'v option;
+  size : 'v -> int;
+  copy : 'v -> 'v;
+  disk : 'v codec option;
+}
+
+let kind ?(size = Mem_cache.approx_size) ?(copy = Fun.id) ?disk subject inject
+    project =
+  { subject; inject; project; size; copy; disk }
+
+(* A codec for entries named by (benchmark, input set) alone. *)
+let unkeyed load store =
+  Some
+    {
+      load = (fun c ~bench ~set ~key:_ -> load c ~bench ~set);
+      store = (fun c ~bench ~set ~key:_ v -> store c ~bench ~set v);
+    }
+
+let trace_kind =
+  kind "trace" ~size:Trace.byte_size
+    ?disk:(unkeyed Disk_cache.load_trace Disk_cache.store_trace)
+    (fun v -> VTrace v)
+    (function VTrace v -> Some v | _ -> None)
+
+(* The decoded image is never persisted: the decode is one sequential
+   pass, cheaper than reading the ~8x larger flat form back from
+   disk. *)
+let image_kind =
+  kind "image" ~size:Image.byte_size
+    (fun v -> VImage v)
+    (function VImage v -> Some v | _ -> None)
+
+let project_profile = function VProfile v -> Some v | _ -> None
+
+(* Profiles persist as raw counters, rebuilt against the program they
+   were collected on. *)
+let profile_kind linked =
+  kind "profile"
+    ?disk:
+      (unkeyed
+         (fun c -> Disk_cache.load_profile c linked)
+         Disk_cache.store_profile)
+    (fun v -> VProfile v) project_profile
+
+let sprofile_kind linked sampling =
+  kind "sprofile"
+    ?disk:
+      (unkeyed
+         (fun c -> Disk_cache.load_sampled_profile c linked ~sampling)
+         (fun c -> Disk_cache.store_sampled_profile c ~sampling))
+    (fun v -> VProfile v) project_profile
+
+let project_stats = function VStats v -> Some v | _ -> None
+
+let baseline_kind =
+  kind "baseline"
+    ?disk:(unkeyed Disk_cache.load_baseline Disk_cache.store_baseline)
+    (fun v -> VStats v) project_stats
+
+let dmp_kind =
+  kind "dmp" ~copy:Stats.copy
+    ~disk:{ load = Disk_cache.load_stats; store = Disk_cache.store_stats }
+    (fun v -> VStats v) project_stats
+
+let ckpt_kind =
+  kind "ckpt" (fun v -> VCkpts v) (function VCkpts v -> Some v | _ -> None)
+
+let transform_kind =
+  kind "transform"
+    (fun v -> VTransform v)
+    (function VTransform v -> Some v | _ -> None)
+
+let selection_kind =
+  kind "select"
+    ~disk:
+      { load = Disk_cache.load_selection; store = Disk_cache.store_selection }
+    (fun v -> VAnn v)
+    (function VAnn v -> Some v | _ -> None)
+
+(* The memo, then the disk cache: [Some (v, from_disk)]. A disk hit
+   enters the memo and is timed under the kind's "(disk cache)" row, so
+   that row counts hits only. *)
+let find t kind ~bench ~set key =
+  match Option.bind (Mem_cache.find t.mem key) kind.project with
+  | Some v -> Some (v, false)
+  | None -> (
+      match (t.cache, kind.disk) with
+      | Some c, Some d -> (
+          let t0 = Unix.gettimeofday () in
+          match d.load c ~bench ~set ~key with
+          | Some v ->
+              record t (kind.subject ^ " (disk cache)") ~calls:1
+                (Unix.gettimeofday () -. t0);
+              Mem_cache.add t.mem key ~size:(kind.size v) (kind.inject v);
+              Some (v, true)
+          | None -> None)
+      | _ -> None)
+
+(* Publish a computed value to the memo and the disk cache. *)
+let publish t kind ~bench ~set key v =
+  Mem_cache.add t.mem key ~size:(kind.size v) (kind.inject v);
+  match (t.cache, kind.disk) with
+  | Some c, Some d -> d.store c ~bench ~set ~key v
+  | _ -> ()
+
+(* One stage of [program] on [set], for the entry [e]; caller must hold
+   [e.lock]. The key is the kind's subject, the program's filed name,
+   the input set and [extra]; the value comes from the memo, the disk
+   cache or [compute], whose result is published. *)
+let stage t kind e program set ?(extra = "") compute =
+  let bench = filed e.spec.Spec.name program in
+  let key = Printf.sprintf "%s/%s/%s%s" kind.subject bench (set_str set) extra in
+  kind.copy
+    (match find t kind ~bench ~set key with
+    | Some (v, _) -> v
+    | None ->
+        let v = compute () in
+        publish t kind ~bench ~set key v;
+        v)
+
+(* ---------- per-program stages ----------
+
+   Callers must hold [e.lock]. A transformed program's linked form is
+   the output of the {!Dmp_transform.Pipeline}, a pure function of
+   (program, profile counters, pass config) and so a stage like every
+   other: the one stage only a transformed program has. Traces are
+   captured with the runner's own [max_insts] cap, which also
+   fingerprints the disk cache, so a persisted trace always covers
+   exactly what the replaying stages consume. *)
+
+let rec program_linked t e program set =
+  match program with
+  | Original -> linked_locked t e
+  | Transformed c ->
+      (transform_locked t e set c).Dmp_transform.Pipeline.linked
+
+and transform_locked t e set c =
+  stage t transform_kind e (Transformed c) set (fun () ->
+      let linked = linked_locked t e in
+      let p = profile_locked t e Original set in
+      timed t "transform (run)" (fun () ->
+          Dmp_transform.Pipeline.run ~config:c linked p))
+
+and trace_locked t e program set =
+  stage t trace_kind e program set (fun () ->
+      let linked = program_linked t e program set in
+      timed t "trace (capture)" (fun () ->
+          Trace.capture ?max_insts:t.max_insts linked
+            ~input:(e.spec.Spec.input set)))
+
+and profile_locked t e program set =
+  let linked = program_linked t e program set in
+  stage t (profile_kind linked) e program set (fun () ->
+      let tr = trace_locked t e program set in
+      timed t "profile (collect)" (fun () ->
+          Profile.collect_trace ?max_insts:t.max_insts linked tr))
 
 (* Process-global decoded-image memo, layered under the runner-wide
    LRU: distinct runners in one process (tests, a daemon restarted
-   in-process) re-capture traces per runner but the
-   decoded image of a registry benchmark is a pure function of
-   (benchmark, input set, instruction cap) — decode it at most once per
+   in-process) re-capture traces per runner but the decoded image of a
+   registry benchmark, original or transformed, is a pure function of
+   (program, input set, instruction cap) — decode it at most once per
    process. Guarded to specs physically identical to the registry's, so
    a test runner carrying a custom program under a registry name can
    never be served another program's image. Values are held weakly:
@@ -237,10 +374,6 @@ let trace t name set =
    drops them. *)
 let global_images : (string, Image.t Weak.t) Hashtbl.t = Hashtbl.create 16
 let global_images_lock = Mutex.create ()
-
-let global_image_key name set max_insts =
-  Printf.sprintf "%s/%s/%s" name (set_str set)
-    (match max_insts with Some n -> string_of_int n | None -> "full")
 
 let global_image_find key =
   Mutex.lock global_images_lock;
@@ -259,77 +392,44 @@ let global_image_publish key img =
   Hashtbl.replace global_images key w;
   Mutex.unlock global_images_lock
 
-(* Caller must hold [e.lock]. The image is decoded in-memory from the
-   (possibly disk-cached) packed trace and never persisted itself: the
-   decode is one sequential pass, cheaper than reading the ~8x larger
-   flat form back from disk. One image per (benchmark, input set) is
-   shared — read-only — by every simulation of that pair, across
-   domains (and amortised to zero by a long-lived serving process). *)
-let image_locked t e set =
-  let name = e.spec.Spec.name in
-  let key = key_image name set in
-  match Mem_cache.find t.mem key with
-  | Some (VImage img) -> img
-  | Some _ | None ->
-      let gkey = global_image_key name set t.max_insts in
+(* One image per (program, input set) is shared — read-only — by every
+   simulation of that pair, across domains (and amortised to zero by a
+   long-lived serving process). *)
+let image_locked t e program set =
+  stage t image_kind e program set (fun () ->
+      let name = e.spec.Spec.name in
+      let gkey =
+        Printf.sprintf "%s/%s/%s" (filed name program) (set_str set)
+          (match t.max_insts with Some n -> string_of_int n | None -> "full")
+      in
       let eligible =
         match Registry.find_opt name with
         | Some s -> s == e.spec
         | None -> false
       in
-      let img =
-        match (if eligible then global_image_find gkey else None) with
-        | Some img -> img
-        | None ->
-            let tr = trace_locked t e set in
-            let img =
-              timed t "image (decode)" (fun () -> Image.of_trace tr)
-            in
-            if eligible then global_image_publish gkey img;
-            img
-      in
-      Mem_cache.add t.mem key ~size:(Image.byte_size img) (VImage img);
-      img
+      match if eligible then global_image_find gkey else None with
+      | Some img -> img
+      | None ->
+          let tr = trace_locked t e program set in
+          let img = timed t "image (decode)" (fun () -> Image.of_trace tr) in
+          if eligible then global_image_publish gkey img;
+          img)
+
+let trace t name set =
+  let e = entry t name in
+  with_lock e (fun () -> trace_locked t e Original set)
 
 let image t name set =
   let e = entry t name in
-  with_lock e (fun () -> image_locked t e set)
+  with_lock e (fun () -> image_locked t e Original set)
 
-(* Caller must hold [e.lock]. *)
-let profile_locked t e set =
-  let name = e.spec.Spec.name in
-  let key = key_profile name set in
-  match Mem_cache.find t.mem key with
-  | Some (VProfile p) -> p
-  | Some _ | None ->
-      let linked = linked_locked t e in
-      let cached =
-        match t.cache with
-        | None -> None
-        | Some c ->
-            timed t "profile (disk cache)" (fun () ->
-                Disk_cache.load_profile c linked ~bench:name ~set)
-      in
-      let p =
-        match cached with
-        | Some p -> p
-        | None ->
-            let tr = trace_locked t e set in
-            let p =
-              timed t "profile (collect)" (fun () ->
-                  Profile.collect_trace ?max_insts:t.max_insts linked tr)
-            in
-            Option.iter
-              (fun c -> Disk_cache.store_profile c ~bench:name ~set p)
-              t.cache;
-            p
-      in
-      Mem_cache.add t.mem key ~size:(Mem_cache.approx_size p) (VProfile p);
-      p
-
-let profile t name set =
+let profile ?(program = Original) t name set =
   let e = entry t name in
-  with_lock e (fun () -> profile_locked t e set)
+  with_lock e (fun () -> profile_locked t e program set)
+
+let transform ?(tconfig = Pass_config.default) t name set =
+  let e = entry t name in
+  with_lock e (fun () -> transform_locked t e set tconfig)
 
 (* Sampled profiles walk the same packed trace as the exact profiler,
    then reconstruct; the collect+reconstruct pair is memoized (and
@@ -338,75 +438,30 @@ let profile t name set =
 let sampled_profile t name set sampling =
   let e = entry t name in
   with_lock e (fun () ->
-      let key = key_sampled name set sampling in
-      match Mem_cache.find t.mem key with
-      | Some (VProfile p) -> p
-      | Some _ | None ->
-          let linked = linked_locked t e in
-          let cached =
-            match t.cache with
-            | None -> None
-            | Some c ->
-                timed t "sprofile (disk cache)" (fun () ->
-                    Disk_cache.load_sampled_profile c linked ~bench:name ~set
-                      ~sampling)
-          in
-          let p =
-            match cached with
-            | Some p -> p
-            | None ->
-                let tr = trace_locked t e set in
-                let p =
-                  timed t "sprofile (collect)" (fun () ->
-                      let s =
-                        Dmp_sampling.Sampler.collect_trace
-                          ?max_insts:t.max_insts ~config:sampling linked tr
-                      in
-                      Dmp_sampling.Reconstruct.profile linked s)
-                in
-                Option.iter
-                  (fun c ->
-                    Disk_cache.store_sampled_profile c ~bench:name ~set
-                      ~sampling p)
-                  t.cache;
-                p
-          in
-          Mem_cache.add t.mem key ~size:(Mem_cache.approx_size p)
-            (VProfile p);
-          p)
+      let linked = linked_locked t e in
+      stage t (sprofile_kind linked sampling) e Original set
+        ~extra:("/" ^ Dmp_sampling.Sampler.config_to_string sampling)
+        (fun () ->
+          let tr = trace_locked t e Original set in
+          timed t "sprofile (collect)" (fun () ->
+              let s =
+                Dmp_sampling.Sampler.collect_trace ?max_insts:t.max_insts
+                  ~config:sampling linked tr
+              in
+              Dmp_sampling.Reconstruct.profile linked s)))
 
-let baseline ?(set = Input_gen.Reduced) t name =
+let baseline ?(program = Original) ?(set = Input_gen.Reduced) t name =
   let e = entry t name in
   with_lock e (fun () ->
-      let key = key_baseline name set in
-      match Mem_cache.find t.mem key with
-      | Some (VStats s) -> s
-      | Some _ | None ->
-          let linked = linked_locked t e in
-          let cached =
-            match t.cache with
-            | None -> None
-            | Some c ->
-                timed t "baseline (disk cache)" (fun () ->
-                    Disk_cache.load_baseline c ~bench:name ~set)
-          in
-          let s =
-            match cached with
-            | Some s -> s
-            | None ->
-                let img = image_locked t e set in
-                let s =
-                  timed t "baseline (simulate)" (fun () ->
-                      Sim.run_image ~config:Config.baseline
-                        ?max_insts:t.max_insts linked img)
-                in
-                Option.iter
-                  (fun c -> Disk_cache.store_baseline c ~bench:name ~set s)
-                  t.cache;
-                s
-          in
-          Mem_cache.add t.mem key ~size:(Mem_cache.approx_size s) (VStats s);
-          s)
+      stage t baseline_kind e program set (fun () ->
+          let linked = program_linked t e program set in
+          let img = image_locked t e program set in
+          timed t "baseline (simulate)" (fun () ->
+              Sim.run_image ~config:Config.baseline ?max_insts:t.max_insts
+                linked img)))
+
+let config_digest (c : Config.t) =
+  Digest.to_hex (Digest.string (Marshal.to_string c []))
 
 (* Configuration fields that shape the long-lived architectural state a
    checkpoint restores in sampled mode — predictor kind, confidence and
@@ -434,34 +489,23 @@ let arch_key (c : Config.t) =
 let segment_interval img segments = max 1 (Image.length img / max 1 segments)
 
 (* Reference checkpoints for the sampled mode: captured once per
-   (input set, architectural key, segment count) by an annotation-free
-   run under the normalised configuration, then shared — read-only —
-   by every sampled simulation of that benchmark. Valid for any
-   annotation and any same-key configuration because only the
+   (program, input set, architectural key, segment count) by an
+   annotation-free run under the normalised configuration, then shared
+   — read-only — by every sampled simulation of that program. Valid for
+   any annotation and any same-key configuration because only the
    prefix-determined architectural sections are restored. *)
-let key_refckpt name set config segments =
-  Printf.sprintf "refckpt/%s/%s/%s/%d" name (set_str set)
-    (Digest.to_hex (Digest.string (Marshal.to_string (arch_key config) [])))
-    segments
-
-let ref_checkpoints t e set config segments =
+let ref_checkpoints t e program set config segments =
   with_lock e (fun () ->
-      let key = key_refckpt e.spec.Spec.name set config segments in
-      match Mem_cache.find t.mem key with
-      | Some (VCkpts cks) -> cks
-      | Some _ | None ->
-          let linked = linked_locked t e in
-          let img = image_locked t e set in
-          let cks =
-            timed t "ckpt (capture)" (fun () ->
-                snd
-                  (Sim.run_image_checkpointed ~config:(arch_key config)
-                     ?max_insts:t.max_insts
-                     ~interval:(segment_interval img segments) linked img))
-          in
-          Mem_cache.add t.mem key ~size:(Mem_cache.approx_size cks)
-            (VCkpts cks);
-          cks)
+      stage t ckpt_kind e program set
+        ~extra:(Printf.sprintf "/%s/%d" (config_digest (arch_key config)) segments)
+        (fun () ->
+          let linked = program_linked t e program set in
+          let img = image_locked t e program set in
+          timed t "ckpt (capture)" (fun () ->
+              snd
+                (Sim.run_image_checkpointed ~config:(arch_key config)
+                   ?max_insts:t.max_insts
+                   ~interval:(segment_interval img segments) linked img))))
 
 (* Per-segment task lists. Exact segments carry (start, last?) for
    [Sim.run_image_segment]; sampled segments carry (start, length) for
@@ -484,111 +528,7 @@ let sampled_segment_tasks total ckpts =
 
 let merge_deltas deltas = List.fold_left Stats.merge (Stats.create ()) deltas
 
-(* ---------- annotation dedup ----------
-
-   A DMP simulation's statistics are a pure function of
-   (trace, configuration, simulation mode, compiled annotation table).
-   The trace is pinned by (benchmark, input set, max_insts) — all
-   runner-wide constants or key components — so the memo key below
-   identifies a simulation exactly, and each distinct key is simulated
-   once; every other requester receives a copy of the memoized
-   statistics. The fingerprint is behavioural
-   ({!Dmp_core.Annotation.Compiled.fingerprint}): annotations differing
-   only in selection metadata (merge probabilities, expected iteration
-   counts) share one simulation. The code that simulates is pinned by
-   the disk cache's fingerprint, so the same key also names the
-   simulation's persisted statistics. *)
-
-let config_digest (c : Config.t) =
-  Digest.to_hex (Digest.string (Marshal.to_string c []))
-
-let mode_str = function
-  | Exact -> "exact"
-  | Segmented n -> Printf.sprintf "segmented:%d" n
-  | Sampled { segments; warmup; window } ->
-      Printf.sprintf "sampled:%d:%d:%d" segments warmup window
-
-let compile_annotation linked ann =
-  Dmp_core.Annotation.compile ~size:(Linked.size linked) ann
-
-let annotation_fingerprint t name ann =
-  Dmp_core.Annotation.Compiled.fingerprint
-    (compile_annotation (linked t name) ann)
-
-let key_dmpstats t name set config mode ann =
-  Printf.sprintf "dmpstats/%s/%s/%s/%s/%s" name (set_str set)
-    (config_digest config) (mode_str mode) (annotation_fingerprint t name ann)
-
-(* The memo kinds layered over the disk cache: DMP statistics (of the
-   original or the transformed program) and compiler selections. Each
-   names its accounting rows, its disk codec and its slot in the
-   stage LRU. Statistics are stored and delivered as copies, so no
-   caller can alias the memo; annotations are never mutated once
-   selected, so every requester shares one. *)
-type 'v memo_kind = {
-  disk_row : string;
-  dedup_row : string;
-  load :
-    Disk_cache.t -> bench:string -> set:Input_gen.set -> key:string ->
-    'v option;
-  store :
-    Disk_cache.t -> bench:string -> set:Input_gen.set -> key:string -> 'v ->
-    unit;
-  inject : 'v -> value;
-  project : value -> 'v option;
-  copy : 'v -> 'v;
-}
-
-let stats_memo sim =
-  {
-    disk_row = sim ^ " (disk cache)";
-    dedup_row = "dmp (dedup hit)";
-    load = Disk_cache.load_stats;
-    store = Disk_cache.store_stats;
-    inject = (fun s -> VStats (Stats.copy s));
-    project = (function VStats s -> Some s | _ -> None);
-    copy = Stats.copy;
-  }
-
-let dmp_kind = stats_memo "dmp"
-let tdmp_kind = stats_memo "tdmp"
-
-let selection_kind =
-  {
-    disk_row = "select (disk cache)";
-    dedup_row = "select (dedup hit)";
-    load = Disk_cache.load_selection;
-    store = Disk_cache.store_selection;
-    inject = (fun a -> VAnn a);
-    project = (function VAnn a -> Some a | _ -> None);
-    copy = Fun.id;
-  }
-
-(* An in-memory hit answers [requests] tasks, each counted as a dedup
-   hit. On a memory miss the disk entry (if any) stands in for the
-   computation: it is counted under the kind's disk-cache row and the
-   other [requests - 1] tasks as dedup hits, so computations +
-   disk-cache hits + dedup hits always equal the tasks submitted. *)
-let memo_find t kind ~bench ~set key ~requests =
-  match Option.bind (Mem_cache.find t.mem key) kind.project with
-  | Some v ->
-      counted t kind.dedup_row requests;
-      Some v
-  | None -> (
-      let t0 = Unix.gettimeofday () in
-      match Option.bind t.cache (fun c -> kind.load c ~bench ~set ~key) with
-      | Some v ->
-          record t kind.disk_row ~calls:1 (Unix.gettimeofday () -. t0);
-          counted t kind.dedup_row (requests - 1);
-          Mem_cache.add t.mem key ~size:(Mem_cache.approx_size v)
-            (kind.inject v);
-          Some v
-      | None -> None)
-
-(* Publish a computed value to the memo and the disk cache. *)
-let memo_add t kind ~bench ~set key v =
-  Mem_cache.add t.mem key ~size:(Mem_cache.approx_size v) (kind.inject v);
-  Option.iter (fun c -> kind.store c ~bench ~set ~key v) t.cache
+(* ---------- keyed batches ---------- *)
 
 (* One distinct computation of a batch: the representative task, its
    memo key and the task slots its value goes to. *)
@@ -603,11 +543,11 @@ type 'a group = {
    rest with [run publish pending], which returns one value per pending
    group, in order, each passed through [publish] by the domain that
    computed it (so disk writes overlap the other computations); and
-   deliver each group's value to every slot that asked for it. Each
-   group adds one computation or disk-cache call and each other slot
-   one dedup hit, so the rows grow by exactly the number of tasks.
-   [where] names the (benchmark, input set) a task's entry is filed
-   under. *)
+   deliver a copy of each group's value to every slot that asked for
+   it. Each group the memo did not hold adds one computation or
+   disk-cache call and each other slot one dedup hit, so the rows grow
+   by exactly the number of tasks. [where] names the (benchmark, input
+   set) a task's entry is filed under. *)
 let keyed_batch t kind ~key ~where ~run tasks =
   let groups : (string, _ group) Hashtbl.t = Hashtbl.create 32 in
   let order = ref [] in
@@ -625,23 +565,22 @@ let keyed_batch t kind ~key ~where ~run tasks =
   let deliver g v =
     List.iter (fun i -> results.(i) <- Some (kind.copy v)) g.g_slots
   in
+  let dedup_hits n = counted t (kind.subject ^ " (dedup hit)") n in
   let pending =
     List.filter
       (fun g ->
         let bench, set = where g.g_task in
-        match
-          memo_find t kind ~bench ~set g.g_key
-            ~requests:(List.length g.g_slots)
-        with
-        | Some v ->
+        match find t kind ~bench ~set g.g_key with
+        | Some (v, from_disk) ->
             deliver g v;
+            dedup_hits (List.length g.g_slots - Bool.to_int from_disk);
             false
         | None -> true)
       (List.rev !order)
   in
   let publish g v =
     let bench, set = where g.g_task in
-    memo_add t kind ~bench ~set g.g_key v;
+    publish t kind ~bench ~set g.g_key v;
     v
   in
   (match pending with
@@ -650,222 +589,9 @@ let keyed_batch t kind ~key ~where ~run tasks =
       List.iter2
         (fun g v ->
           deliver g v;
-          counted t kind.dedup_row (List.length g.g_slots - 1))
+          dedup_hits (List.length g.g_slots - 1))
         pending (run publish pending));
   Array.to_list (Array.map Option.get results)
-
-(* ---------- software-predication (transformed-program) stages ----------
-
-   The {!Dmp_transform.Pipeline} is a pure function of
-   (program, profile counters, pass config), so its artifacts cache
-   like every other stage. Each key — and the synthetic benchmark name
-   the disk-cached artifacts persist under — embeds the pass-config
-   fingerprint, so a config change can never alias another pipeline's
-   trace, profile or statistics. The transformed program's own trace /
-   image / profile stages mirror the original ones: captured once per
-   (benchmark, input set, pass config) and replayed by every
-   simulation. *)
-
-module Pass_config = Dmp_transform.Pass_config
-
-let key_transform name set tfp =
-  Printf.sprintf "transform/%s/%s/%s" name (set_str set) tfp
-
-let key_ttrace name set tfp =
-  Printf.sprintf "ttrace/%s/%s/%s" name (set_str set) tfp
-
-let key_timage name set tfp =
-  Printf.sprintf "timage/%s/%s/%s" name (set_str set) tfp
-
-let key_tprofile name set tfp =
-  Printf.sprintf "tprofile/%s/%s/%s" name (set_str set) tfp
-
-let key_tbaseline name set tfp =
-  Printf.sprintf "tbaseline/%s/%s/%s" name (set_str set) tfp
-
-(* The benchmark name transformed-program artifacts persist under in
-   the disk cache: fingerprint-qualified so they can never collide
-   with the original program's entries (or another pass config's). *)
-let sw_bench name tfp = Printf.sprintf "%s+sw-%s" name tfp
-
-(* Caller must hold [e.lock]. *)
-let transform_locked t e set tconfig =
-  let tfp = Pass_config.fingerprint tconfig in
-  let key = key_transform e.spec.Spec.name set tfp in
-  match Mem_cache.find t.mem key with
-  | Some (VTransform r) -> r
-  | Some _ | None ->
-      let linked = linked_locked t e in
-      let p = profile_locked t e set in
-      let r =
-        timed t "transform (run)" (fun () ->
-            Dmp_transform.Pipeline.run ~config:tconfig linked p)
-      in
-      Mem_cache.add t.mem key ~size:(Mem_cache.approx_size r) (VTransform r);
-      r
-
-(* Caller must hold [e.lock]. Same capture / disk-cache discipline as
-   [trace_locked], on the transformed program. *)
-let ttrace_locked t e set tconfig =
-  let name = e.spec.Spec.name in
-  let tfp = Pass_config.fingerprint tconfig in
-  let key = key_ttrace name set tfp in
-  match Mem_cache.find t.mem key with
-  | Some (VTrace tr) -> tr
-  | Some _ | None ->
-      let r = transform_locked t e set tconfig in
-      let bench = sw_bench name tfp in
-      let cached =
-        match t.cache with
-        | None -> None
-        | Some c ->
-            timed t "ttrace (disk cache)" (fun () ->
-                Disk_cache.load_trace c ~bench ~set)
-      in
-      let tr =
-        match cached with
-        | Some tr -> tr
-        | None ->
-            let tr =
-              timed t "ttrace (capture)" (fun () ->
-                  Trace.capture ?max_insts:t.max_insts
-                    r.Dmp_transform.Pipeline.linked
-                    ~input:(e.spec.Spec.input set))
-            in
-            Option.iter
-              (fun c -> Disk_cache.store_trace c ~bench ~set tr)
-              t.cache;
-            tr
-      in
-      Mem_cache.add t.mem key ~size:(Trace.byte_size tr) (VTrace tr);
-      tr
-
-(* Caller must hold [e.lock]. Decoded in-memory only, like the
-   original image (no global memo: the key already pins the pass
-   config, and transformed images are far rarer than registry ones). *)
-let timage_locked t e set tconfig =
-  let key = key_timage e.spec.Spec.name set (Pass_config.fingerprint tconfig) in
-  match Mem_cache.find t.mem key with
-  | Some (VImage img) -> img
-  | Some _ | None ->
-      let tr = ttrace_locked t e set tconfig in
-      let img = timed t "image (decode)" (fun () -> Image.of_trace tr) in
-      Mem_cache.add t.mem key ~size:(Image.byte_size img) (VImage img);
-      img
-
-(* Caller must hold [e.lock]. The transformed program's own edge
-   profile — what a second profile-guided compilation (the combined
-   software + DMP variant) selects from. *)
-let tprofile_locked t e set tconfig =
-  let name = e.spec.Spec.name in
-  let tfp = Pass_config.fingerprint tconfig in
-  let key = key_tprofile name set tfp in
-  match Mem_cache.find t.mem key with
-  | Some (VProfile p) -> p
-  | Some _ | None ->
-      let r = transform_locked t e set tconfig in
-      let tlinked = r.Dmp_transform.Pipeline.linked in
-      let bench = sw_bench name tfp in
-      let cached =
-        match t.cache with
-        | None -> None
-        | Some c ->
-            timed t "tprofile (disk cache)" (fun () ->
-                Disk_cache.load_profile c tlinked ~bench ~set)
-      in
-      let p =
-        match cached with
-        | Some p -> p
-        | None ->
-            let tr = ttrace_locked t e set tconfig in
-            let p =
-              timed t "tprofile (collect)" (fun () ->
-                  Profile.collect_trace ?max_insts:t.max_insts tlinked tr)
-            in
-            Option.iter
-              (fun c -> Disk_cache.store_profile c ~bench ~set p)
-              t.cache;
-            p
-      in
-      Mem_cache.add t.mem key ~size:(Mem_cache.approx_size p) (VProfile p);
-      p
-
-let transform ?(tconfig = Pass_config.default) t name set =
-  let e = entry t name in
-  with_lock e (fun () -> transform_locked t e set tconfig)
-
-let transformed_profile ?(tconfig = Pass_config.default) t name set =
-  let e = entry t name in
-  with_lock e (fun () -> tprofile_locked t e set tconfig)
-
-let transformed_baseline ?(tconfig = Pass_config.default)
-    ?(set = Input_gen.Reduced) t name =
-  let e = entry t name in
-  with_lock e (fun () ->
-      let tfp = Pass_config.fingerprint tconfig in
-      let key = key_tbaseline name set tfp in
-      match Mem_cache.find t.mem key with
-      | Some (VStats s) -> s
-      | Some _ | None ->
-          let r = transform_locked t e set tconfig in
-          let bench = sw_bench name tfp in
-          let cached =
-            match t.cache with
-            | None -> None
-            | Some c ->
-                timed t "tbaseline (disk cache)" (fun () ->
-                    Disk_cache.load_baseline c ~bench ~set)
-          in
-          let s =
-            match cached with
-            | Some s -> s
-            | None ->
-                let img = timage_locked t e set tconfig in
-                let s =
-                  timed t "tbaseline (simulate)" (fun () ->
-                      Sim.run_image ~config:Config.baseline
-                        ?max_insts:t.max_insts
-                        r.Dmp_transform.Pipeline.linked img)
-                in
-                Option.iter
-                  (fun c -> Disk_cache.store_baseline c ~bench ~set s)
-                  t.cache;
-                s
-          in
-          Mem_cache.add t.mem key ~size:(Mem_cache.approx_size s) (VStats s);
-          s)
-
-(* One DMP simulation of the transformed program (the combined
-   software + hardware variant). Memoized, in memory and on disk, under
-   the behavioural annotation fingerprint like [dmp_memo], with the
-   pass-config fingerprint a key component. *)
-let transformed_dmp ?(tconfig = Pass_config.default) ?(set = Input_gen.Reduced)
-    ?(config = Config.dmp) t name annotation =
-  let e = entry t name in
-  with_lock e (fun () ->
-      let r = transform_locked t e set tconfig in
-      let tlinked = r.Dmp_transform.Pipeline.linked in
-      let fp =
-        Dmp_core.Annotation.Compiled.fingerprint
-          (compile_annotation tlinked annotation)
-      in
-      let tfp = Pass_config.fingerprint tconfig in
-      let key =
-        Printf.sprintf "tdmpstats/%s/%s/%s/%s/%s" name (set_str set) tfp
-          (config_digest config) fp
-      in
-      let bench = sw_bench name tfp in
-      match memo_find t tdmp_kind ~bench ~set key ~requests:1 with
-      | Some s -> Stats.copy s
-      | None ->
-          let img = timage_locked t e set tconfig in
-          let s =
-            timed t "tdmp (simulate)" (fun () ->
-                Sim.run_image ~config ~annotation ?max_insts:t.max_insts
-                  tlinked img)
-          in
-          memo_add t tdmp_kind ~bench ~set key s;
-          s)
 
 (* ---------- compiler selection ----------
 
@@ -914,7 +640,7 @@ let run_selection t r =
     | Sampled_profile s -> (linked t r.bench, sampled_profile t r.bench r.set s)
     | Transformed_profile tconfig ->
         ( (transform ~tconfig t r.bench r.set).Dmp_transform.Pipeline.linked,
-          transformed_profile ~tconfig t r.bench r.set )
+          profile ~program:(Transformed tconfig) t r.bench r.set )
   in
   let two_d =
     Option.map
@@ -949,22 +675,57 @@ let selection t name set ~algo =
       | [ a ] -> a
       | _ -> assert false)
 
+(* ---------- DMP simulation ----------
+
+   A DMP simulation's statistics are a pure function of
+   (program, input set, configuration, simulation mode, compiled
+   annotation table); the instruction cap is a runner-wide constant. So
+   the memo key below identifies a simulation exactly, and each
+   distinct key is simulated once; every other requester receives a
+   copy of the memoized statistics. The fingerprint is behavioural
+   ({!Dmp_core.Annotation.Compiled.fingerprint}), of the annotation
+   compiled against the simulated program: annotations differing only
+   in selection metadata (merge probabilities, expected iteration
+   counts) share one simulation. The code that simulates is pinned by
+   the disk cache's fingerprint, so the same key also names the
+   simulation's persisted statistics. *)
+
+let mode_str = function
+  | Exact -> "exact"
+  | Segmented n -> Printf.sprintf "segmented:%d" n
+  | Sampled { segments; warmup; window } ->
+      Printf.sprintf "sampled:%d:%d:%d" segments warmup window
+
+let fingerprint linked ann =
+  Dmp_core.Annotation.Compiled.fingerprint
+    (Dmp_core.Annotation.compile ~size:(Linked.size linked) ann)
+
+let annotation_fingerprint t name ann = fingerprint (linked t name) ann
+
+let key_dmpstats t name program set config mode ann =
+  let e = entry t name in
+  let linked = with_lock e (fun () -> program_linked t e program set) in
+  Printf.sprintf "dmp/%s/%s/%s/%s/%s" (filed name program) (set_str set)
+    (config_digest config) (mode_str mode) (fingerprint linked ann)
+
 (* How independent per-segment simulations are spread; polymorphic so
    one fanner serves both segment task shapes. *)
 type fanner = { fan : 'a 'b. ('a -> 'b) -> 'a list -> 'b list }
 
-(* One DMP simulation under the runner's (or an explicit) simulation
-   mode. [fan] says how independent per-segment simulations are spread:
-   the plain [dmp] entry point runs them inline; [dmp_batch] nests them
-   onto its worker pool, where the re-entrant [Pool.map] lets the
-   submitting worker help drain its own segments. *)
-let dmp_with ~fan:{ fan } ?(set = Input_gen.Reduced) ?(config = Config.dmp) ?mode t
-    name annotation =
+let resolve_mode t mode =
   let mode = Option.value mode ~default:t.sim_mode in
   validate_sim_mode mode;
+  mode
+
+(* One DMP simulation under a resolved simulation mode. [fan] says how
+   independent per-segment simulations are spread: inline, or nested
+   onto a batch's worker pool, where the re-entrant [Pool.map] lets the
+   submitting worker help drain its own segments. *)
+let dmp_with ~fan:{ fan } ~program ~set ~config ~mode t name annotation =
   let e = entry t name in
   let linked, img =
-    with_lock e (fun () -> (linked_locked t e, image_locked t e set))
+    with_lock e (fun () ->
+        (program_linked t e program set, image_locked t e program set))
   in
   match mode with
   | Exact ->
@@ -990,7 +751,7 @@ let dmp_with ~fan:{ fan } ?(set = Input_gen.Reduced) ?(config = Config.dmp) ?mod
                    linked img)
                (exact_segment_tasks ckpts)))
   | Sampled { segments; warmup; window } ->
-      let ckpts = ref_checkpoints t e set config segments in
+      let ckpts = ref_checkpoints t e program set config segments in
       timed t "dmp (simulate)" (fun () ->
           merge_deltas
             (fan
@@ -1000,47 +761,49 @@ let dmp_with ~fan:{ fan } ?(set = Input_gen.Reduced) ?(config = Config.dmp) ?mod
                    img)
                (sampled_segment_tasks (Image.length img) ckpts)))
 
-let dmp ?set ?config ?mode t name annotation =
-  dmp_with ~fan:{ fan = List.map } ?set ?config ?mode t name annotation
+let dmp ?(program = Original) ?(set = Input_gen.Reduced) ?(config = Config.dmp)
+    ?mode t name annotation =
+  dmp_with ~fan:{ fan = List.map } ~program ~set ~config
+    ~mode:(resolve_mode t mode) t name annotation
 
 (* Each simulation is independent and deterministic, and [Pool.map]
-   returns results in submission order, so the batch returns exactly
-   what a sequential [List.map] over [dmp] would — with any [-j 1] /
-   [-j N] difference invisible in the output. Shared inputs (linked
-   program, trace, image) are memoized under the entry lock, so
-   concurrent tasks of one benchmark derive them exactly once. Under a
-   segment-splitting mode each task additionally fans its segments onto
-   the same pool (a nested, re-entrant [Pool.map]), so even a single
-   benchmark's simulation spreads across the workers. *)
-let dmp_batch ?(set = Input_gen.Reduced) ?(config = Config.dmp) ?mode t tasks =
-  let mode = Option.value mode ~default:t.sim_mode in
-  validate_sim_mode mode;
+   returns results in submission order, so a batch returns exactly what
+   a sequential [List.map] over [dmp] would — with any [-j 1] / [-j N]
+   difference invisible in the output. Shared inputs (linked program,
+   trace, image) are memoized under the entry lock, so concurrent tasks
+   of one benchmark derive them exactly once. Under a segment-splitting
+   mode each task additionally fans its segments onto the same pool (a
+   nested, re-entrant [Pool.map]), so even a single benchmark's
+   simulation spreads across the workers. [inline] runs everything on
+   the calling domain instead. *)
+let dmp_keyed ~inline ?(program = Original) ?(set = Input_gen.Reduced)
+    ?(config = Config.dmp) ?mode t tasks =
+  let mode = resolve_mode t mode in
   keyed_batch t dmp_kind
-    ~key:(fun (name, ann) -> key_dmpstats t name set config mode ann)
-    ~where:(fun (name, _) -> (name, set))
+    ~key:(fun (name, ann) -> key_dmpstats t name program set config mode ann)
+    ~where:(fun (name, _) -> (filed name program, set))
     ~run:(fun publish pending ->
-      Pool.with_pool ?jobs:t.jobs (fun pool ->
-          let fan = { fan = (fun f xs -> Pool.map pool ~f xs) } in
-          Pool.map pool
-            ~f:(fun g ->
-              let name, ann = g.g_task in
-              publish g (dmp_with ~fan ~set ~config ~mode t name ann))
-            pending))
+      let sim fan g =
+        let name, ann = g.g_task in
+        publish g (dmp_with ~fan ~program ~set ~config ~mode t name ann)
+      in
+      if inline then List.map (sim { fan = List.map }) pending
+      else
+        Pool.with_pool ?jobs:t.jobs (fun pool ->
+            Pool.map pool
+              ~f:(sim { fan = (fun f xs -> Pool.map pool ~f xs) })
+              pending))
     tasks
 
-(* Memoized single simulation: same dedup memo as {!dmp_batch}, for
-   callers that arrive one request at a time (the serving daemon). *)
-let dmp_memo ?(set = Input_gen.Reduced) ?(config = Config.dmp) ?mode t name
-    annotation =
-  let mode = Option.value mode ~default:t.sim_mode in
-  validate_sim_mode mode;
-  let key = key_dmpstats t name set config mode annotation in
-  match memo_find t dmp_kind ~bench:name ~set key ~requests:1 with
-  | Some s -> Stats.copy s
-  | None ->
-      let s = dmp ~set ~config ~mode t name annotation in
-      memo_add t dmp_kind ~bench:name ~set key s;
-      s
+let dmp_batch ?program ?set ?config ?mode t tasks =
+  dmp_keyed ~inline:false ?program ?set ?config ?mode t tasks
+
+let dmp_memo ?program ?set ?config ?mode t name annotation =
+  match
+    dmp_keyed ~inline:true ?program ?set ?config ?mode t [ (name, annotation) ]
+  with
+  | [ s ] -> s
+  | _ -> assert false
 
 let prefetch ?(profile_sets = [ Input_gen.Reduced ])
     ?(baseline_sets = [ Input_gen.Reduced ]) ?jobs t =

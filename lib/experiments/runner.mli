@@ -1,11 +1,10 @@
 (** Shared experiment pipeline with caching of linking, trace capture,
     profiling, compiler selection and simulation across figures.
 
-    The architectural emulator runs once per (benchmark, input set):
-    its event stream is captured into a packed {!Dmp_exec.Trace} on
-    first use and every later [profile] / [baseline] / [dmp] call
-    replays the trace instead of re-emulating, with bit-identical
-    results.
+    The architectural emulator runs once per (program, input set): its
+    event stream is captured into a packed {!Dmp_exec.Trace} on first
+    use and every later [profile] / [baseline] / [dmp] call replays the
+    trace instead of re-emulating, with bit-identical results.
 
     A runner is safe for concurrent use from multiple domains: each
     benchmark's stages are guarded by a per-benchmark lock, so distinct
@@ -35,6 +34,15 @@ type sim_mode =
           segment length — an estimate, orders of magnitude cheaper on
           long traces *)
 
+(** The program a stage runs on: the benchmark as registered, or its
+    software-predicated form ({!Dmp_transform.Pipeline} under that pass
+    configuration, run over the benchmark's exact profile of the
+    stage's input set — see {!transform}). Both go through the same
+    stages, with the program a component of every key; a transformed
+    program's entries persist under the benchmark name
+    ["<bench>+sw-<pass fingerprint>"]. *)
+type program = Original | Transformed of Dmp_transform.Pass_config.t
+
 val create :
   ?benchmarks:Spec.t list -> ?max_insts:int -> ?cache_dir:string ->
   ?jobs:int -> ?sim_mode:sim_mode -> ?mem_budget:int -> unit -> t
@@ -42,7 +50,7 @@ val create :
     [max_insts] caps trace capture, profiling and simulation alike (for
     quick runs and tests). When [cache_dir] is given, traces, profiles,
     baseline statistics, the statistics of every memoized DMP
-    simulation ({!dmp_batch}, {!dmp_memo}, {!transformed_dmp}) and every
+    simulation ({!dmp_batch}, {!dmp_memo}) and every
     compiler selection ({!selections}) additionally persist across
     processes in a {!Disk_cache} rooted there, under a fingerprint that
     digests the code computing them;
@@ -93,8 +101,11 @@ val image : t -> string -> Input_gen.set -> Image.t
     (benchmark, input set) — never persisted, since decoding the cached
     trace is cheaper than reading the flat form back from disk. *)
 
-val profile : t -> string -> Input_gen.set -> Profile.t
-(** Cached per (benchmark, input set). *)
+val profile : ?program:program -> t -> string -> Input_gen.set -> Profile.t
+(** The edge/misprediction profile of [program] (default [Original]),
+    collected over its trace. A transformed program's own profile is
+    what a second profile-guided selection runs on
+    ({!Transformed_profile}). Cached per (program, input set). *)
 
 val sampled_profile :
   t -> string -> Input_gen.set -> Dmp_sampling.Sampler.config -> Profile.t
@@ -106,8 +117,11 @@ val sampled_profile :
     parameters folded into the entry kind. Stage labels:
     ["sprofile (collect)"] / ["sprofile (disk cache)"]. *)
 
-val baseline : ?set:Input_gen.set -> t -> string -> Stats.t
-(** Cached per (benchmark, input set). *)
+val baseline :
+  ?program:program -> ?set:Input_gen.set -> t -> string -> Stats.t
+(** Baseline-machine simulation of [program] (default [Original]); for
+    a transformed program, the pure software-predication data point.
+    Cached per (program, input set). *)
 
 val transform :
   ?tconfig:Dmp_transform.Pass_config.t -> t -> string -> Input_gen.set ->
@@ -116,36 +130,8 @@ val transform :
     over the benchmark's linked program under its exact profile. Pure
     in (program, profile, config), so cached per
     (benchmark, input set, pass-config fingerprint); stage label
-    ["transform (run)"]. *)
-
-val transformed_profile :
-  ?tconfig:Dmp_transform.Pass_config.t -> t -> string -> Input_gen.set ->
-  Profile.t
-(** The transformed program's own edge/misprediction profile, collected
-    over its captured trace (stage ["tprofile (collect)"]) — what a
-    second profile-guided selection runs on for the combined
-    software + DMP variant. The trace capture (["ttrace (capture)"])
-    and this profile both persist in the disk cache under a
-    pass-fingerprint-qualified benchmark name. *)
-
-val transformed_baseline :
-  ?tconfig:Dmp_transform.Pass_config.t -> ?set:Input_gen.set -> t ->
-  string -> Stats.t
-(** Baseline-machine simulation of the transformed program — the pure
-    software-predication data point. Cached (and disk-persisted) per
-    (benchmark, input set, pass-config fingerprint); stage
-    ["tbaseline (simulate)"]. *)
-
-val transformed_dmp :
-  ?tconfig:Dmp_transform.Pass_config.t -> ?set:Input_gen.set ->
-  ?config:Config.t -> t -> string -> Dmp_core.Annotation.t -> Stats.t
-(** One DMP simulation of the transformed program under [annotation]
-    (selected from {!transformed_profile}) — the combined
-    software + hardware variant. Memoized like {!dmp_memo} with the
-    pass-config fingerprint a key component, and persisted in the disk
-    cache under the same pass-fingerprint-qualified benchmark name as
-    the other transformed-program artifacts; stages
-    ["tdmp (simulate)"] / ["tdmp (disk cache)"]. *)
+    ["transform (run)"]. Its linked program is [Transformed tconfig]'s
+    in every other stage. *)
 
 (** {2 Compiler selection}
 
@@ -159,8 +145,9 @@ type profile_source =
   | Sampled_profile of Dmp_sampling.Sampler.config
       (** {!sampled_profile} under that sampling configuration *)
   | Transformed_profile of Dmp_transform.Pass_config.t
-      (** {!transformed_profile}: the software-predicated program under
-          that pass configuration, selected from its own profile *)
+      (** {!profile} of [Transformed] under that pass configuration:
+          the software-predicated program, selected from its own
+          profile *)
 
 (** What a selection runs. *)
 type selector =
@@ -225,20 +212,24 @@ val selection : t -> string -> Input_gen.set -> algo:string -> Dmp_core.Annotati
     @raise Invalid_argument on an unknown algorithm name. *)
 
 val dmp :
-  ?set:Input_gen.set -> ?config:Config.t -> ?mode:sim_mode -> t -> string ->
-  Dmp_core.Annotation.t -> Stats.t
-(** Uncached: one DMP simulation under the given annotation. [mode]
+  ?program:program -> ?set:Input_gen.set -> ?config:Config.t ->
+  ?mode:sim_mode -> t -> string -> Dmp_core.Annotation.t -> Stats.t
+(** Uncached: one DMP simulation of [program] (default [Original])
+    under the given annotation, which names branches of that program's
+    linked form. [mode]
     overrides the runner's {!sim_mode} for this call (the fidelity
     report uses it to compare the modes side by side); segment work
     runs inline on the calling domain here. *)
 
 val dmp_batch :
-  ?set:Input_gen.set -> ?config:Config.t -> ?mode:sim_mode -> t ->
-  (string * Dmp_core.Annotation.t) list -> Stats.t list
+  ?program:program -> ?set:Input_gen.set -> ?config:Config.t ->
+  ?mode:sim_mode -> t -> (string * Dmp_core.Annotation.t) list ->
+  Stats.t list
 (** [dmp] over every (benchmark, annotation) task, with annotation
-    dedup. Tasks whose compiled annotations share a behavioural
-    fingerprint ({!Dmp_core.Annotation.Compiled}) under one
-    (benchmark, set, config, mode) form one group; each group is
+    dedup; [program], like [set], applies to the whole batch. Tasks
+    whose annotations, compiled against the simulated program, share a
+    behavioural fingerprint ({!Dmp_core.Annotation.Compiled}) under one
+    (program, set, config, mode) form one group; each group is
     simulated once, exactly as {!dmp} would, and its statistics go as
     copies to every task slot of the group. A group already simulated
     by an earlier batch (or {!dmp_memo}) is answered from the
@@ -261,12 +252,12 @@ val dmp_batch :
     settles. *)
 
 val dmp_memo :
-  ?set:Input_gen.set -> ?config:Config.t -> ?mode:sim_mode -> t -> string ->
-  Dmp_core.Annotation.t -> Stats.t
-(** {!dmp} through the same behavioural-fingerprint memo {!dmp_batch}
-    uses, for callers that arrive one request at a time (the serving
-    daemon): a repeat of an already-simulated
-    (benchmark, set, config, mode, fingerprint) returns a copy of the
+  ?program:program -> ?set:Input_gen.set -> ?config:Config.t ->
+  ?mode:sim_mode -> t -> string -> Dmp_core.Annotation.t -> Stats.t
+(** {!dmp_batch} of one task, run inline on the calling domain, for
+    callers that arrive one request at a time (the serving daemon): a
+    repeat of an already-simulated
+    (program, set, config, mode, fingerprint) returns a copy of the
     memoized statistics without simulating — including a simulation
     persisted by an earlier process in the same disk cache. *)
 
@@ -299,21 +290,24 @@ val amean : float list -> float
     ["2d-profile (collect)"],
     ["baseline (simulate)"] / ["baseline (disk cache)"],
     ["select (run)"] / ["select (disk cache)"],
-    ["dmp (simulate)"] / ["dmp (disk cache)"] and — under a
-    segment-splitting {!sim_mode} —
+    ["dmp (simulate)"] / ["dmp (disk cache)"], ["transform (run)"]
+    and — under a segment-splitting {!sim_mode} —
     ["ckpt (capture)"] for checkpoint capture runs (shared reference
     captures in [Sampled] mode, per-task captures in [Segmented]
-    mode). A warm persistent cache is visible as the
-    capture/collect/select/simulate rows dropping to zero calls.
+    mode). The rows cover both programs: a transformed program's
+    stages count under the same labels as the original's. A warm
+    persistent cache is visible as the
+    capture/collect/decode/select/simulate rows dropping to zero calls.
 
-    Unlike the other disk-cache rows, ["dmp (disk cache)"],
-    ["tdmp (disk cache)"] and ["select (disk cache)"] count hits only:
-    each call stands in for one simulation or selection.
+    Every ["… (disk cache)"] row counts hits only: each call is one
+    value read back from disk in place of its computation, and a miss
+    is not counted. Each compute row times its own work only, never
+    the stages that fetch its inputs.
     ["dmp (dedup hit)"] and ["select (dedup hit)"] are accounting rows
     (calls counted, no wall time attributed): the requests answered by
     another request's simulation, selection or disk entry.
     ["image (decode)"] counts actual trace decodes — at most one per
-    (benchmark, input set, instruction cap) per process, across every
+    (program, input set, instruction cap) per process, across every
     runner and simulation mode, thanks to a process-global weak memo of
     decoded images. *)
 

@@ -14,11 +14,11 @@
            and simulated on the DMP machine — software removes the
            cheap hammocks, hardware covers what remains.
 
-   The hardware column goes through one Runner.dmp_batch, so its
-   simulations share the runner's pool and dedup memo; the
-   transformed-program columns fan per benchmark over a pool of the
-   runner's width. Every
-   stage is deterministic and both fan-outs preserve submission order,
+   The transformed binary is just another Runner program: the hw and
+   both columns are one Runner.dmp_batch each, so both follow the
+   runner's simulation mode and share its pool and dedup memo, and the
+   per-benchmark baselines fan over a pool of the runner's width. Every
+   stage is deterministic and every fan-out preserves submission order,
    so the report is byte-identical for any -j value. *)
 
 open Dmp_core
@@ -85,20 +85,22 @@ let run ?(tconfig = T.Pass_config.default) runner =
     ( List.combine names (List.filteri (fun i _ -> i < nb) all),
       List.filteri (fun i _ -> i >= nb) all )
   in
-  let hw = Runner.dmp_batch runner anns in
-  let swboth =
+  let program = Runner.Transformed tconfig in
+  (* The baselines go first: their pool also runs each benchmark's
+     transform, which the combined batch's keys then find in the memo. *)
+  let sw =
     Dmp_exec.Pool.with_pool ?jobs:(Runner.jobs runner) (fun pool ->
         Dmp_exec.Pool.map pool
-          ~f:(fun (name, tann) ->
-            let r = Runner.transform ~tconfig runner name set in
-            let base = Runner.baseline ~set runner name in
-            let sw = Runner.transformed_baseline ~tconfig ~set runner name in
-            let both = Runner.transformed_dmp ~tconfig ~set runner name tann in
-            (r, base, sw, both))
-          (List.combine names tanns))
+          ~f:(fun name ->
+            ( Runner.transform ~tconfig runner name set,
+              Runner.baseline ~set runner name,
+              Runner.baseline ~program ~set runner name ))
+          names)
   in
+  let hw = Runner.dmp_batch runner anns in
+  let both = Runner.dmp_batch ~program runner (List.combine names tanns) in
   List.map2
-    (fun ((name, ann), hws) (r, base, sw, both) ->
+    (fun ((name, ann), (hws, both)) (r, base, sw) ->
       {
         bench = name;
         shape = shape_of_annotation ann;
@@ -108,7 +110,8 @@ let run ?(tconfig = T.Pass_config.default) runner =
         hw_ipc = Dmp_uarch.Stats.ipc hws;
         both_ipc = Dmp_uarch.Stats.ipc both;
       })
-    (List.combine anns hw) swboth
+    (List.combine anns (List.combine hw both))
+    sw
 
 let pct base ipc = if base <= 0. then 0. else (ipc /. base -. 1.) *. 100.
 

@@ -80,6 +80,7 @@ let to_string (p : Program.t) =
 
 (* ---------- parsing ---------- *)
 
+(* Raised inside the parser only; [of_string] turns it into [Error]. *)
 exception Parse_error of int * string
 
 let fail line fmt = Printf.ksprintf (fun m -> raise (Parse_error (line, m))) fmt
@@ -125,7 +126,7 @@ let cond_of_mnemonic = function
   | "bgt" -> Some Term.Gt
   | _ -> None
 
-let of_string text =
+let parse text =
   let lines = String.split_on_char '\n' text in
   let funcs = ref [] in
   let current : Build.fn option ref = ref None in
@@ -239,7 +240,9 @@ let of_string text =
       | Ok p -> Ok p
       | Error m -> Error m)
 
-let of_string_res text =
-  try of_string text with
+(* The builder reports structural errors (a duplicate label, a branch
+   to an unknown one) with [Invalid_argument]. *)
+let of_string text =
+  try parse text with
   | Parse_error (line, m) -> Error (Printf.sprintf "line %d: %s" line m)
   | Invalid_argument m -> Error m

@@ -1,5 +1,5 @@
 (** Textual assembly for IR programs. [to_string] emits a form that
-    [of_string_res] parses back; the round trip preserves the program
+    [of_string] parses back; the round trip preserves the program
     structure exactly (block order, labels, instructions, branch
     targets).
 
@@ -19,12 +19,8 @@
 
     [;] starts a comment. The first function is the program's main. *)
 
-exception Parse_error of int * string
-
 val to_string : Program.t -> string
 
 val of_string : string -> (Program.t, string) result
-(** @raise Parse_error with a line number on malformed input. *)
-
-val of_string_res : string -> (Program.t, string) result
-(** Like [of_string] but turns [Parse_error] into [Error]. *)
+(** Never raises: malformed input is an [Error], with a line number
+    where one applies. *)

@@ -617,29 +617,132 @@ let test_disk_cache_persisted_selections () =
 
 (* The combined software + hardware simulation persists too, under the
    pass-fingerprint-qualified benchmark name. *)
-let test_disk_cache_transformed_dmp () =
+let test_disk_cache_transformed_sim () =
+  let program = Runner.Transformed Dmp_transform.Pass_config.default in
   let run r =
     let linked =
       (Runner.transform r "li" Input_gen.Reduced).Dmp_transform.Pipeline.linked
     in
     let ann =
       Dmp_core.Select.run linked
-        (Runner.transformed_profile r "li" Input_gen.Reduced)
+        (Runner.profile ~program r "li" Input_gen.Reduced)
     in
-    stats_bytes (Runner.transformed_dmp r "li" ann)
+    stats_bytes (Runner.dmp_memo ~program r "li" ann)
   in
   with_temp_cache_dir (fun dir ->
       let r1 = cached_runner dir in
       let cold = run r1 in
       check Alcotest.int "cold run simulates" 1
-        (stage_calls r1 "tdmp (simulate)");
+        (stage_calls r1 "dmp (simulate)");
       let r2 = cached_runner dir in
       let warm = run r2 in
-      check Alcotest.bool "tdmp stats round-trip" true (cold = warm);
+      check Alcotest.bool "dmp stats round-trip" true (cold = warm);
       check Alcotest.int "warm run does not simulate" 0
-        (stage_calls r2 "tdmp (simulate)");
+        (stage_calls r2 "dmp (simulate)");
       check Alcotest.int "warm run hits the disk cache" 1
-        (stage_calls r2 "tdmp (disk cache)"))
+        (stage_calls r2 "dmp (disk cache)"))
+
+(* ---------- programs ---------- *)
+
+(* The program is a component of the DMP statistics key. One annotation
+   simulated on the original li and on its software-predicated form is
+   two simulations, each persisted under its own program's name; the
+   no-pass transform leaves li's code as it is, so only the program in
+   the key tells its simulation apart from the original's. *)
+let test_program_in_the_key () =
+  let module Pass_config = Dmp_transform.Pass_config in
+  let sw = Runner.Transformed Pass_config.default in
+  let no_pass =
+    Runner.Transformed { Pass_config.default with Pass_config.passes = [] }
+  in
+  with_temp_cache_dir (fun dir ->
+      let r = cached_runner dir in
+      let ann = Runner.selection r "li" Input_gen.Reduced ~algo:"all-best-heur" in
+      let sims program = ignore (Runner.dmp_memo ~program r "li" ann) in
+      let dmp_entries () =
+        Sys.readdir (Filename.concat dir (Sys.readdir dir).(0))
+        |> Array.to_list
+        |> List.filter (fun f ->
+               Astring_contains.contains f ".dmp-"
+               && not (Filename.check_suffix f ".atime"))
+      in
+      sims Runner.Original;
+      sims sw;
+      check Alcotest.int "two simulations" 2 (stage_calls r "dmp (simulate)");
+      check Alcotest.int "no dedup hit" 0 (stage_calls r "dmp (dedup hit)");
+      let entries = dmp_entries () in
+      check Alcotest.int "two distinct entries" 2 (List.length entries);
+      let filed_under prefix =
+        List.exists (fun f -> String.starts_with ~prefix f) entries
+      in
+      check Alcotest.bool "the original's entry is filed under li" true
+        (filed_under "li-reduced.dmp-");
+      check Alcotest.bool "the transformed entry is filed under li+sw-<fp>"
+        true
+        (filed_under
+           (Printf.sprintf "li+sw-%s-reduced.dmp-"
+              (Pass_config.fingerprint Pass_config.default)));
+      sims no_pass;
+      check Alcotest.int "the no-pass program simulates too" 3
+        (stage_calls r "dmp (simulate)");
+      check Alcotest.int "three distinct entries" 3
+        (List.length (dmp_entries ())))
+
+(* A transformed program gets the segment-splitting modes: segmented
+   statistics of its own selection are Marshal-identical to exact. *)
+let test_segmented_transformed_sims () =
+  let c = Dmp_transform.Pass_config.default in
+  let r =
+    Runner.create
+      ~benchmarks:[ Registry.find "li"; Registry.find "gzip" ]
+      ~max_insts:80_000 ~jobs:2 ()
+  in
+  let heur = Runner.variant Variants.all_best_heur in
+  let tasks =
+    List.combine (Runner.names r)
+      (Runner.selections r
+         (List.map
+            (fun n ->
+              Runner.request ~source:(Runner.Transformed_profile c) n heur)
+            (Runner.names r)))
+  in
+  let run mode =
+    List.map stats_bytes
+      (Runner.dmp_batch ~program:(Runner.Transformed c) ~mode r tasks)
+  in
+  check Alcotest.bool "segmented = exact" true
+    (run (Runner.Segmented 2) = run Runner.Exact)
+
+(* sw-vs-hw's both column follows the runner's simulation mode, as its
+   hw column does: under a sampled runner it is the transformed
+   program's sampled simulation, which on mcf at this cap differs from
+   the exact one. *)
+let test_sw_vs_hw_sim_mode () =
+  let c = Dmp_transform.Pass_config.default in
+  let mode = Runner.Sampled { segments = 4; warmup = 2_000; window = 8_000 } in
+  let r =
+    Runner.create ~benchmarks:[ Registry.find "mcf" ] ~max_insts:80_000
+      ~sim_mode:mode ()
+  in
+  let row =
+    match Sw_vs_hw.run ~tconfig:c r with
+    | [ row ] -> row
+    | _ -> Alcotest.fail "one row expected"
+  in
+  let tann =
+    Runner.selections r
+      [ Runner.request ~source:(Runner.Transformed_profile c) "mcf"
+          (Runner.variant Variants.all_best_heur) ]
+    |> List.hd
+  in
+  let ipc mode =
+    Dmp_uarch.Stats.ipc
+      (Runner.dmp ~program:(Runner.Transformed c) ~mode r "mcf" tann)
+  in
+  check (Alcotest.float 0.) "both = the sampled simulation" (ipc mode)
+    row.Sw_vs_hw.both_ipc;
+  check Alcotest.bool "sampled and exact differ here" true
+    (ipc mode <> ipc Runner.Exact)
 
 let test_disk_cache_corrupt_fallback () =
   let ann r = Runner.selection r "li" Input_gen.Reduced ~algo:"all-best-heur" in
@@ -1017,7 +1120,7 @@ let () =
           Alcotest.test_case "persisted selections" `Slow
             test_disk_cache_persisted_selections;
           Alcotest.test_case "persisted transformed simulation" `Slow
-            test_disk_cache_transformed_dmp;
+            test_disk_cache_transformed_sim;
           Alcotest.test_case "corrupt fallback" `Slow
             test_disk_cache_corrupt_fallback;
           Alcotest.test_case "corruption injection" `Quick
@@ -1026,6 +1129,15 @@ let () =
             test_disk_cache_lru_eviction;
           Alcotest.test_case "DMP_CACHE_BYTES validated" `Quick
             test_cache_bytes_env;
+        ] );
+      ( "programs",
+        [
+          Alcotest.test_case "program in the key" `Slow
+            test_program_in_the_key;
+          Alcotest.test_case "segmented transformed simulation" `Slow
+            test_segmented_transformed_sims;
+          Alcotest.test_case "sw-vs-hw follows the sim mode" `Slow
+            test_sw_vs_hw_sim_mode;
         ] );
       ( "fused batch",
         [

@@ -191,7 +191,7 @@ let test_asm_round_trip () =
   List.iter
     (fun program ->
       let text = Asm.to_string program in
-      match Asm.of_string_res text with
+      match Asm.of_string text with
       | Ok program' ->
           check Alcotest.bool "round trip preserves structure" true
             (program_equal program program')
@@ -206,7 +206,7 @@ let test_asm_round_trip () =
 let test_asm_parse_errors () =
   List.iter
     (fun (text, what) ->
-      match Asm.of_string_res text with
+      match Asm.of_string text with
       | Error _ -> ()
       | Ok _ -> Alcotest.failf "expected error: %s" what)
     [
@@ -221,7 +221,7 @@ let test_asm_comments_and_whitespace () =
   let text =
     "; a program\nfunc main {\nentry:   \n  li r4, 7 ; seven\n\n       write r4\n  halt\n}\n"
   in
-  match Asm.of_string_res text with
+  match Asm.of_string text with
   | Ok p ->
       let linked = Linked.link p in
       let emu = Dmp_exec.Emulator.create linked ~input:[||] in
@@ -235,9 +235,50 @@ let qcheck_asm_round_trip_random =
     (fun n ->
       let st = Random.State.make [| n; 47 |] in
       let program = Helpers.random_program st ~nblocks:n in
-      match Asm.of_string_res (Asm.to_string program) with
+      match Asm.of_string (Asm.to_string program) with
       | Ok program' -> program_equal program program'
       | Error _ -> false)
+
+(* Malformed assembly is an [Error], never an exception: the text of
+   every registered benchmark with one line dropped, duplicated or
+   swapped with its successor, or with an operand appended to it. *)
+let benchmark_asm =
+  lazy
+    (Array.of_list
+       (List.map
+          (fun spec ->
+            Array.of_list
+              (String.split_on_char '\n'
+                 (Asm.to_string
+                    (Dmp_workload.Spec.linked spec).Linked.program)))
+          Dmp_workload.Registry.all))
+
+let mutate_line lines i k =
+  let line = lines.(i) in
+  let after =
+    Array.to_list (Array.sub lines (i + 1) (Array.length lines - i - 1))
+  in
+  Array.to_list (Array.sub lines 0 i)
+  @
+  match (k, after) with
+  | 0, _ -> after
+  | 1, _ -> line :: line :: after
+  | 2, next :: rest -> next :: line :: rest
+  | _ ->
+      (line ^ ", " ^ [| "r3"; "7"; "8(r2)"; "entry"; "r99" |].(k mod 5))
+      :: after
+
+let qcheck_asm_never_raises =
+  QCheck.Test.make ~name:"asm parser never raises on mutated benchmarks"
+    ~count:1000
+    QCheck.(triple (int_bound 1_000) (int_bound 100_000) (int_bound 7))
+    (fun (b, i, k) ->
+      let benches = Lazy.force benchmark_asm in
+      let lines = benches.(b mod Array.length benches) in
+      let text =
+        String.concat "\n" (mutate_line lines (i mod Array.length lines) k)
+      in
+      match Asm.of_string text with Ok _ | Error _ -> true)
 
 (* ---------- qcheck properties ---------- *)
 
@@ -298,6 +339,7 @@ let () =
           Alcotest.test_case "parse errors" `Quick test_asm_parse_errors;
           Alcotest.test_case "comments" `Quick test_asm_comments_and_whitespace;
           QCheck_alcotest.to_alcotest qcheck_asm_round_trip_random;
+          QCheck_alcotest.to_alcotest qcheck_asm_never_raises;
         ] );
       ( "properties",
         [
