@@ -29,70 +29,61 @@ let classify ctx ~func ~(cfm : Candidate.cfm_candidate) =
   else Annotation.Nested_hammock
 
 let candidate_of_branch ctx ~func ~block =
+  let ( let* ) = Option.bind in
   let fn = Context.fn ctx func in
-  let cfg = fn.Context.cfg in
-  match Cfg.branch_successors cfg block with
-  | None -> None
-  | Some (target, fall) -> (
-      match Postdom.ipostdom fn.Context.postdom block with
-      | None -> None
-      | Some j ->
-          let branch_addr = Context.branch_addr ctx ~func ~block in
-          let executed = Profile.executed ctx.Context.profile ~addr:branch_addr in
-          if executed = 0 then None
-          else
-            let side start =
-              Explore.explore ctx ~func ~start ~stop_blocks:(Explore.Int_set.singleton j)
-                ~structural:true
-            in
-            let rt = side target and rnt = side fall in
-            if rt.Explore.truncated || rnt.Explore.truncated
-               || rt.Explore.capped || rnt.Explore.capped
-            then None
-            else
-              match (Explore.reach rt j, Explore.reach rnt j) with
-              | Some reach_t, Some reach_nt ->
-                  let cfm =
-                    Candidate.make_cfm ctx ~func ~cfm_block:j ~exact:true
-                      ~merge_prob:1. ~reach_t ~reach_nt
-                  in
-                  (* Refine the profile-sensitive fields (expected and
-                     most-frequent path lengths) with a profile-mode
-                     walk; structural probabilities are meaningless. *)
-                  let pt =
-                    Explore.explore ctx ~func ~start:target
-                      ~stop_blocks:(Explore.Int_set.singleton j) ~structural:false
-                  in
-                  let pnt =
-                    Explore.explore ctx ~func ~start:fall ~stop_blocks:(Explore.Int_set.singleton j)
-                      ~structural:false
-                  in
-                  let cfm =
-                    match (Explore.reach pt j, Explore.reach pnt j) with
-                    | Some preach_t, Some preach_nt ->
-                        { cfm with
-                          Candidate.avg_t = Explore.avg_insts preach_t;
-                          avg_nt = Explore.avg_insts preach_nt;
-                          freq_t = preach_t.Explore.best_path_insts;
-                          freq_nt = preach_nt.Explore.best_path_insts;
-                        }
-                    | _, _ -> cfm
-                  in
-                  let kind = classify ctx ~func ~cfm in
-                  Some
-                    {
-                      Candidate.func;
-                      block;
-                      branch_addr;
-                      kind;
-                      cfms = [ cfm ];
-                      ret = None;
-                      executed;
-                      mispredicted =
-                        Profile.mispredictions ctx.Context.profile
-                          ~addr:branch_addr;
-                    }
-              | _, _ -> None)
+  let* target, fall = Cfg.branch_successors fn.Context.cfg block in
+  let* j = Postdom.ipostdom fn.Context.postdom block in
+  let branch_addr = Context.branch_addr ctx ~func ~block in
+  let executed = Profile.executed ctx.Context.profile ~addr:branch_addr in
+  if executed = 0 then None
+  else
+    let stop_blocks = Int_set.singleton j in
+    (* A side with any path over MAX_INSTR/MAX_CBR (or over the path
+       cap) eliminates the branch, so each structural walk stops at its
+       first overflow, and the fall-through side is not walked once the
+       taken side has failed. *)
+    let side start =
+      Explore.structural_within_bounds ctx ~func ~start ~stop_blocks
+    in
+    let* rt = side target in
+    let* rnt = side fall in
+    let* reach_t = Explore.reach rt j in
+    let* reach_nt = Explore.reach rnt j in
+    let cfm =
+      Candidate.make_cfm ctx ~func ~cfm_block:j ~exact:true ~merge_prob:1.
+        ~reach_t ~reach_nt
+    in
+    (* Refine the profile-sensitive fields (expected and most-frequent
+       path lengths) with a profile-mode walk; structural probabilities
+       are meaningless. *)
+    let profiled start =
+      Explore.reach
+        (Explore.explore ctx ~func ~start ~stop_blocks ~structural:false)
+        j
+    in
+    let cfm =
+      match (profiled target, profiled fall) with
+      | Some preach_t, Some preach_nt ->
+          { cfm with
+            Candidate.avg_t = Explore.avg_insts preach_t;
+            avg_nt = Explore.avg_insts preach_nt;
+            freq_t = preach_t.Explore.best_path_insts;
+            freq_nt = preach_nt.Explore.best_path_insts;
+          }
+      | _, _ -> cfm
+    in
+    Some
+      {
+        Candidate.func;
+        block;
+        branch_addr;
+        kind = classify ctx ~func ~cfm;
+        cfms = [ cfm ];
+        ret = None;
+        executed;
+        mispredicted =
+          Profile.mispredictions ctx.Context.profile ~addr:branch_addr;
+      }
 
 let find ctx =
   let out = ref [] in

@@ -9,7 +9,8 @@
    as stop points so that each candidate's reach probability is the
    probability of arriving there first — the "first time merging"
    probability of footnote 3. Chain reduction (Section 3.3.1) then keeps
-   one candidate per chain and the best MAX_CFM survive. *)
+   one candidate per chain, and with or without it the MAX_CFM most
+   probable survive. *)
 
 open Dmp_cfg
 open Dmp_profile
@@ -75,7 +76,8 @@ let candidate_of_branch ?(apply_min_merge_prob = true) ctx ~func ~block =
             stops []
         in
         let cfms =
-          if params.Params.chain_reduction then Chains.reduce cfms else cfms
+          if params.Params.chain_reduction then Chains.reduce cfms
+          else Chains.by_merge_prob cfms
         in
         let cfms = List.filteri (fun i _ -> i < params.Params.max_cfm) cfms in
         let ret =

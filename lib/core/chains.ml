@@ -9,6 +9,12 @@ module Int_set = Explore.Int_set
 let on_path_to ~(x : Candidate.cfm_candidate) ~(y : Candidate.cfm_candidate) =
   Int_set.mem x.Candidate.cfm_block y.Candidate.blocks_on_paths
 
+let by_merge_prob (cfms : Candidate.cfm_candidate list) =
+  List.stable_sort
+    (fun (a : Candidate.cfm_candidate) b ->
+      compare b.Candidate.merge_prob a.Candidate.merge_prob)
+    cfms
+
 let reduce (cfms : Candidate.cfm_candidate list) =
   let arr = Array.of_list cfms in
   let n = Array.length arr in
@@ -33,6 +39,4 @@ let reduce (cfms : Candidate.cfm_candidate list) =
         ()
     | Some _ | None -> Hashtbl.replace best root i
   done;
-  Hashtbl.fold (fun _ i acc -> arr.(i) :: acc) best []
-  |> List.sort (fun a b ->
-         compare b.Candidate.merge_prob a.Candidate.merge_prob)
+  by_merge_prob (Hashtbl.fold (fun _ i acc -> arr.(i) :: acc) best [])

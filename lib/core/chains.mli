@@ -6,6 +6,10 @@
 val on_path_to :
   x:Candidate.cfm_candidate -> y:Candidate.cfm_candidate -> bool
 
+val by_merge_prob :
+  Candidate.cfm_candidate list -> Candidate.cfm_candidate list
+(** Stable sort by decreasing merge probability. *)
+
 val reduce : Candidate.cfm_candidate list -> Candidate.cfm_candidate list
 (** Result is sorted by decreasing merge probability and contains at
     most one candidate per chain. *)

@@ -15,8 +15,9 @@ type fn_ctx = {
       (* block size with Call instructions expanded to callee static size *)
   block_cbr : int array;
       (* conditional branches: own terminator plus callee static branches *)
-  def_sets : Int_set.t array;
-      (* registers written by each block, callees expanded *)
+  def_masks : int array;
+      (* registers written by each block, callees expanded, as a mask *)
+  terms : int Term.t array;  (* each block's terminator *)
   succ_probs : (int * float) list array;
       (* successors in [Cfg.successors] order, with profiled edge probability *)
 }
@@ -45,8 +46,27 @@ let call_weights program =
     program.Program.funcs;
   (sizes, cbrs)
 
+(* A register set as one int: register r is bit r - 1. Register 0 is
+   hardwired to zero and never a def, and there are 64 registers, so
+   every def fits in the 63 bits of an OCaml int. *)
+let () = assert (Reg.count - 1 <= Sys.int_size)
+
+let reg_bit r = 1 lsl (r - 1)
+
+let defs_of_mask mask =
+  let rec add set r mask =
+    if mask = 0 then set
+    else
+      add
+        (if mask land 1 <> 0 then Int_set.add r set else set)
+        (r + 1) (mask lsr 1)
+  in
+  add Int_set.empty 1 mask
+
 let instr_defs acc ins =
-  List.fold_left (fun acc r -> Int_set.add (Reg.to_int r) acc) acc (Instr.defs ins)
+  List.fold_left
+    (fun acc r -> acc lor reg_bit (Reg.to_int r))
+    acc (Instr.defs ins)
 
 let callee_index program = function
   | Instr.Call { callee } -> Program.find_func program callee
@@ -62,7 +82,7 @@ let transitive_defs program =
       (fun acc b -> Array.fold_left f acc b.Block.body)
       init func.Func.blocks
   in
-  let own = Array.map (fold_instrs instr_defs Int_set.empty) funcs in
+  let own = Array.map (fold_instrs instr_defs 0) funcs in
   let callees =
     Array.map
       (fold_instrs
@@ -79,10 +99,10 @@ let transitive_defs program =
         if seen.(fi) then acc
         else begin
           seen.(fi) <- true;
-          List.fold_left go (Int_set.union acc own.(fi)) callees.(fi)
+          List.fold_left go (acc lor own.(fi)) callees.(fi)
         end
       in
-      go Int_set.empty root)
+      go 0 root)
 
 let create ?(params = Params.default) linked profile =
   let program = linked.Linked.program in
@@ -110,16 +130,16 @@ let create ?(params = Params.default) linked profile =
           block_weight.(bi) <- !w;
           block_cbr.(bi) <- !c
         done;
-        let def_sets =
+        let def_masks =
           Array.map
             (fun b ->
               Array.fold_left
                 (fun acc ins ->
                   let acc = instr_defs acc ins in
                   match callee_index program ins with
-                  | Some fi -> Int_set.union acc func_defs.(fi)
+                  | Some fi -> acc lor func_defs.(fi)
                   | None -> acc)
-                Int_set.empty b.Block.body)
+                0 b.Block.body)
             f.Func.blocks
         in
         let succ_probs =
@@ -138,7 +158,8 @@ let create ?(params = Params.default) linked profile =
           live = Live.of_func f;
           block_weight;
           block_cbr;
-          def_sets;
+          def_masks;
+          terms = Array.map (fun b -> b.Block.term) f.Func.blocks;
           succ_probs;
         })
   in
@@ -162,12 +183,13 @@ let branch_addr' linked ~func ~block =
 let block_start_addr t ~func ~block =
   Linked.block_addr t.linked ~func ~block
 
-let block_defs t ~func ~block = Int_set.elements (fn t func).def_sets.(block)
+let block_defs t ~func ~block =
+  Int_set.elements (defs_of_mask (fn t func).def_masks.(block))
 
 let region_defs t ~func blocks =
-  let sets = (fn t func).def_sets in
+  let masks = (fn t func).def_masks in
   Int_set.elements
-    (List.fold_left (fun acc b -> Int_set.union acc sets.(b)) Int_set.empty blocks)
+    (defs_of_mask (List.fold_left (fun acc b -> acc lor masks.(b)) 0 blocks))
 
 (* Select-µops needed when two predicated paths writing [defs] merge at
    the entry of [cfm_block]: one per register live there. *)

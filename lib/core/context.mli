@@ -17,9 +17,11 @@ type fn_ctx = {
   live : Live.t;
   block_weight : int array;
   block_cbr : int array;
-  def_sets : Int_set.t array;
-      (** registers written by each block, callees expanded (the sets
-          behind {!block_defs}) *)
+  def_masks : int array;
+      (** registers written by each block, callees expanded, as a
+          register mask (see {!defs_of_mask}; the sets behind
+          {!block_defs}) *)
+  terms : int Term.t array;  (** each block's terminator *)
   succ_probs : (int * float) list array;
       (** each block's successors in {!Cfg.successors} order, paired with
           the profiled edge probability ({!Profile.edge_prob}) *)
@@ -31,6 +33,10 @@ type t = {
   params : Params.t;
   fns : fn_ctx array;
 }
+
+val defs_of_mask : int -> Int_set.t
+(** The registers of a register mask. Register [r] is bit [r - 1]:
+    register 0 is never a def, so every def fits in one int. *)
 
 val create : ?params:Params.t -> Linked.t -> Profile.t -> t
 val fn : t -> int -> fn_ctx

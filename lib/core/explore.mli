@@ -11,7 +11,8 @@
 
     Results are a pure function of the arguments: the walk keeps no
     state between calls and reads only the context's precomputed
-    per-block tables ([Context.fn_ctx]). *)
+    per-block tables ([Context.fn_ctx]). A visit allocates nothing; the
+    [Int_set]s of the result are built once, when the walk ends. *)
 
 module Int_set : Set.S with type elt = int
 
@@ -41,6 +42,15 @@ val explore :
     stopping at the IPOSDOM, then re-explores stopping at every
     candidate so that reach probabilities are first-arrival ("first
     time merging", footnote 3 of the paper). *)
+
+val structural_within_bounds :
+  Context.t -> func:int -> start:int -> stop_blocks:Int_set.t ->
+  result option
+(** The structural walk of {!explore}, for callers that discard a side
+    once it overflows: [None] exactly when [explore ~structural:true]
+    would be truncated or capped, and otherwise its result. The walk
+    stops at the first path over [max_instr]/[max_cbr] or at the
+    [max_paths] cap. *)
 
 val reach : result -> int -> reach option
 

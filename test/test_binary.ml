@@ -118,6 +118,51 @@ let qcheck_double_round_trip =
       Program.size once = Program.size twice
       && Program.num_funcs once = Program.num_funcs twice)
 
+(* ---------- Recover never raises ---------- *)
+
+let benchmark_images =
+  lazy
+    (Array.of_list
+       (List.map
+          (fun spec -> Encode.encode (Dmp_workload.Spec.linked spec))
+          Dmp_workload.Registry.all))
+
+(* One corruption of a benchmark's image, chosen by [kind]: a flipped
+   code bit, a code word replaced by [word], the code array truncated,
+   or one symbol's entry or size shifted by up to 20 either way. *)
+let corrupt (image : Encode.image) ~kind ~pos ~word =
+  let code = image.Encode.code in
+  let symbols = image.Encode.symbols in
+  let at = pos mod Array.length code in
+  let set_word w =
+    let code = Array.copy code in
+    code.(at) <- w;
+    { image with Encode.code }
+  in
+  let shift_symbol f =
+    let target = pos mod List.length symbols in
+    let delta = ((word land 63) mod 41) - 20 in
+    { image with
+      Encode.symbols =
+        List.mapi (fun i s -> if i = target then f s delta else s) symbols }
+  in
+  match kind with
+  | 0 -> set_word (code.(at) lxor (1 lsl ((word land 63) mod 63)))
+  | 1 -> set_word word
+  | 2 -> { image with Encode.code = Array.sub code 0 at }
+  | 3 -> shift_symbol (fun (name, entry, size) d -> (name, entry + d, size))
+  | _ -> shift_symbol (fun (name, entry, size) d -> (name, entry, size + d))
+
+let qcheck_recover_never_raises =
+  QCheck.Test.make ~name:"recover never raises on corrupted benchmarks"
+    ~count:2000
+    QCheck.(quad (int_bound 1_000) (int_bound 4) (int_bound 1_000_000) int)
+    (fun (b, kind, pos, word) ->
+      let images = Lazy.force benchmark_images in
+      let image = images.(b mod Array.length images) in
+      match Recover.program (corrupt image ~kind ~pos ~word) with
+      | Ok _ | Error _ -> true)
+
 let () =
   Alcotest.run "dmp_binary"
     [
@@ -135,5 +180,6 @@ let () =
           Alcotest.test_case "selection on recovered binary" `Quick
             test_selection_on_recovered_binary;
           QCheck_alcotest.to_alcotest qcheck_double_round_trip;
+          QCheck_alcotest.to_alcotest qcheck_recover_never_raises;
         ] );
     ]

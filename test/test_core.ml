@@ -526,6 +526,66 @@ let test_annotation_parse_errors () =
 
 (* ---------- ablation knobs ---------- *)
 
+(* Both sides of the entry branch split twice and reach the merge
+   blocks m1..m4, each first-arrival. The profile sends a side to m1,
+   m2, m3 and m4 with probability 0.42, 0.28, 0.18 and 0.12, so the most
+   probable merge point has the lowest block index of the four. *)
+let four_merge_points () =
+  let f = B.func "main" in
+  let c = reg 1 in
+  B.branch f Term.Ne c (B.imm 0) ~target:"t" ();
+  let side s =
+    B.label f s;
+    B.branch f Term.Ne c (B.imm 0) ~target:(s ^ "b") ();
+    B.label f (s ^ "a");
+    B.branch f Term.Ne c (B.imm 0) ~target:"m2" ();
+    B.label f (s ^ "a1");
+    B.jump f "m1";
+    B.label f (s ^ "b");
+    B.branch f Term.Ne c (B.imm 0) ~target:"m4" ();
+    B.label f (s ^ "b1");
+    B.jump f "m3"
+  in
+  side "f";
+  side "t";
+  List.iter
+    (fun m ->
+      B.label f m;
+      B.jump f "exit")
+    [ "m1"; "m2"; "m3"; "m4" ];
+  B.label f "exit";
+  B.halt f;
+  let func = B.finish f in
+  let linked = Linked.link (Program.of_funcs_exn ~main:"main" [ func ]) in
+  let index label =
+    let rec go i =
+      if (Func.block func i).Block.label = label then i else go (i + 1)
+    in
+    go 0
+  in
+  (* (label, executed, taken): a split goes to its "a" half with
+     probability 0.7, and an "a" or "b" half falls through with
+     probability 0.6. *)
+  let branches =
+    List.map
+      (fun (label, executed, taken) ->
+        ( Context.branch_addr' linked ~func:0 ~block:(index label),
+          { Dmp_profile.Profile.executed; taken; mispredicted = 0 } ))
+      [ ("entry", 100, 50);
+        ("f", 100, 30); ("fa", 70, 28); ("fb", 30, 12);
+        ("t", 100, 30); ("ta", 70, 28); ("tb", 30, 12) ]
+  in
+  let block_counts =
+    Array.map
+      (fun blocks -> Array.make (Array.length blocks) 0)
+      linked.Linked.block_addr
+  in
+  let profile =
+    Dmp_profile.Profile.of_raw linked
+      (Dmp_profile.Profile.make_raw ~branches ~block_counts ~retired:1000)
+  in
+  (linked, profile, List.map index [ "m1"; "m2"; "m3"; "m4" ])
+
 let test_ablation_knobs () =
   let linked = Linked.link (Helpers.freq_hammock_program ()) in
   let profile =
@@ -557,7 +617,20 @@ let test_ablation_knobs () =
     (fun d ->
       check Alcotest.bool "cfm cap without chains" true
         (List.length d.Annotation.cfms <= Params.default.Params.max_cfm))
-    ann
+    ann;
+  (* ... and the cap keeps the most probable points. *)
+  let linked, profile, merges = four_merge_points () in
+  let ctx = Context.create ~params:config.Select.params linked profile in
+  match Alg_freq.candidate_of_branch ctx ~func:0 ~block:0 with
+  | None -> Alcotest.fail "no frequently-hammock candidate"
+  | Some c ->
+      check
+        Alcotest.(list int)
+        "cfm cap without chains keeps the most probable"
+        (List.filteri (fun i _ -> i < Params.default.Params.max_cfm) merges)
+        (List.map
+           (fun (cfm : Candidate.cfm_candidate) -> cfm.Candidate.cfm_block)
+           c.Candidate.cfms)
 
 let test_two_d_filter_shrinks_annotation () =
   let linked = Linked.link (Helpers.simple_hammock_program ()) in

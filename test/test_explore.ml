@@ -64,7 +64,10 @@ let tally () = { compared = 0; capped = 0; multi = 0 }
 (* For every conditional branch of every function, explore both sides
    in both modes with the IPOSDOM singleton as the stop set, then again
    with every block reached from both sides added (the Alg-freq phase-2
-   shape), comparing the engine against the reference each time. *)
+   shape), comparing the engine against the reference each time. Every
+   structural walk also runs in its early-exit form, which must report
+   an overflow exactly when the reference is truncated or capped, and
+   otherwise the reference's result. *)
 let compare_ctx ~label t ctx =
   for func = 0 to Context.num_fns ctx - 1 do
     let fn = Context.fn ctx func in
@@ -87,14 +90,27 @@ let compare_ctx ~label t ctx =
             in
             t.compared <- t.compared + 1;
             if got.Explore.capped then t.capped <- t.capped + 1;
-            (match result_diff want got with
-            | None -> ()
-            | Some field ->
-                Alcotest.failf
-                  "%s: func %d branch %d side %d (structural=%b, %d stops): \
-                   %s differs"
-                  label func block start structural (Int_set.cardinal stops)
-                  field);
+            let fail what =
+              Alcotest.failf
+                "%s: func %d branch %d side %d (structural=%b, %d stops): %s"
+                label func block start structural (Int_set.cardinal stops)
+                what
+            in
+            Option.iter
+              (fun field -> fail (field ^ " differs"))
+              (result_diff want got);
+            (if structural then
+               let overflow = want.Explore.truncated || want.Explore.capped in
+               match
+                 Explore.structural_within_bounds ctx ~func ~start
+                   ~stop_blocks:stops
+               with
+               | None -> if not overflow then fail "early exit overflowed"
+               | Some _ when overflow -> fail "early exit missed an overflow"
+               | Some early ->
+                   Option.iter
+                     (fun field -> fail ("early exit: " ^ field ^ " differs"))
+                     (result_diff want early));
             want
           in
           List.iter
@@ -193,6 +209,36 @@ let qcheck_random_programs =
       in
       compare_program ~label:"random" (tally ()) linked profile;
       true)
+
+(* ---------- absolute pin on selections ---------- *)
+
+(* md5 over the compiled-annotation fingerprints of all 15
+   [Variants.names] selection variants on the seed-1 corpus. The
+   differential tests only compare the engine with the reference; this
+   pins what the selectors make of the irregular CFGs the 17 benchmarks
+   do not have. *)
+let selections_digest = "fa8febef6cbc50ff8a08c00d143e14a0"
+
+let test_selections_digest () =
+  let module V = Dmp_experiments.Variants in
+  let variants = List.map (fun n -> Option.get (V.of_string n)) V.names in
+  check Alcotest.int "named variants" 15 (List.length variants);
+  let b = Buffer.create 65536 in
+  List.iter
+    (fun (program, input) ->
+      let linked = Linked.link program in
+      let profile = Dmp_profile.Profile.collect linked ~input in
+      let size = Linked.size linked in
+      List.iter
+        (fun v ->
+          let ann = V.annotate v linked profile in
+          Buffer.add_string b
+            (Annotation.Compiled.fingerprint (Annotation.compile ~size ann));
+          Buffer.add_char b '\n')
+        variants)
+    (generated_corpus 1);
+  check Alcotest.string "selections of 200 programs" selections_digest
+    (Digest.to_hex (Digest.string (Buffer.contents b)))
 
 (* ---------- Context.block_defs ---------- *)
 
@@ -310,4 +356,6 @@ let () =
           Alcotest.test_case "max_paths 8" `Quick test_small_cap;
           QCheck_alcotest.to_alcotest qcheck_random_programs;
         ] );
+      ( "selections",
+        [ Alcotest.test_case "15 variants, seed 1" `Quick test_selections_digest ] );
     ]
