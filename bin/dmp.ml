@@ -291,8 +291,8 @@ let profile_cmd =
           in
           let config = { Dmp_sampling.Sampler.mode; period; seed } in
           let s =
-            Dmp_sampling.Sampler.collect_source ?max_insts ~config linked
-              (Dmp_exec.Source.live (Dmp_exec.Emulator.create linked ~input))
+            Dmp_sampling.Sampler.collect_trace ?max_insts ~config linked
+              (Dmp_exec.Trace.capture ?max_insts linked ~input)
           in
           Printf.printf "sampled %s: samples=%d lbr-records=%d\n"
             (Dmp_sampling.Sampler.config_to_string config)

@@ -12,6 +12,8 @@ let stats_mismatches a b =
 
 let pp_event = Fmt.to_to_string Event.pp
 
+exception Diverged
+
 let check_streams ?max_insts linked ~input trace image =
   let out = ref [] in
   let err ?addr rule msg = out := D.error ?addr ~rule msg :: !out in
@@ -19,47 +21,44 @@ let check_streams ?max_insts linked ~input trace image =
   if Image.length image <> n then
     err "oracle-image-length"
       (Printf.sprintf "image has %d events, trace %d" (Image.length image) n);
-  let live = Source.live (Emulator.create linked ~input) in
-  let cur = Trace.cursor trace in
+  let emu = Emulator.create linked ~input in
   let cap = match max_insts with Some m -> min m n | None -> n in
   let i = ref 0 in
-  let diverged = ref false in
-  while (not !diverged) && !i < cap do
-    let la = Source.advance live in
-    let ta = Trace.advance cur in
-    if not (la && ta) then begin
-      err "oracle-stream-length"
-        (Printf.sprintf
-           "at event %d: live stream %s, trace replay %s (trace length %d)"
-           !i
-           (if la then "continues" else "ends")
-           (if ta then "continues" else "ends")
-           n);
-      diverged := true
-    end
-    else begin
-      let el = Source.current_event live in
-      let et = Trace.current_event cur in
-      if el <> et then begin
-        err ~addr:et.Event.addr "oracle-trace-divergence"
-          (Printf.sprintf "first diverging event %d: live %s, replay %s" !i
-             (pp_event el) (pp_event et));
-        diverged := true
-      end;
-      (if !i < Image.length image then
-         let ei = Image.event image !i in
-         if et <> ei then begin
-           err ~addr:et.Event.addr "oracle-image-divergence"
-             (Printf.sprintf "first diverging event %d: replay %s, image %s"
-                !i (pp_event et) (pp_event ei));
-           diverged := true
-         end);
-      incr i
-    end
-  done;
+  let diverged =
+    match
+      Trace.iter ~max_insts:cap trace (fun et ->
+          (match Emulator.step emu with
+          | None ->
+              err "oracle-stream-length"
+                (Printf.sprintf
+                   "at event %d: live stream ends, trace replay continues \
+                    (trace length %d)"
+                   !i n);
+              raise Diverged
+          | Some el ->
+              if el <> et then begin
+                err ~addr:et.Event.addr "oracle-trace-divergence"
+                  (Printf.sprintf "first diverging event %d: live %s, replay %s"
+                     !i (pp_event el) (pp_event et));
+                raise Diverged
+              end);
+          (if !i < Image.length image then
+             let ei = Image.event image !i in
+             if et <> ei then begin
+               err ~addr:et.Event.addr "oracle-image-divergence"
+                 (Printf.sprintf
+                    "first diverging event %d: replay %s, image %s" !i
+                    (pp_event et) (pp_event ei));
+               raise Diverged
+             end);
+          incr i)
+    with
+    | () -> false
+    | exception Diverged -> true
+  in
   (* A complete trace must end exactly where the program halts. *)
-  if (not !diverged) && cap = n && Trace.complete trace
-     && max_insts = None && Source.advance live
+  if (not diverged) && cap = n && Trace.complete trace
+     && max_insts = None && Emulator.advance emu
   then
     err "oracle-stream-length"
       (Printf.sprintf

@@ -24,9 +24,10 @@ val stats_mismatches : Stats.t -> Stats.t -> (string * int * int) list
 val check_streams :
   ?max_insts:int -> Linked.t -> input:int array -> Trace.t -> Image.t ->
   Diagnostic.t list
-(** Replay the packed trace and decode the image in lockstep with a
-    live emulator; report the first diverging event (index + address)
-    of either pair, and any length disagreement. *)
+(** Replay the packed trace and decode the image in lockstep with an
+    emulator stepped here ({!Dmp_exec.Emulator.step}); report the first
+    diverging event (index + address) of either pair, and any length
+    disagreement. *)
 
 val check_checkpoints :
   ?max_insts:int -> label:string -> Config.t -> Annotation.t option ->
@@ -40,7 +41,8 @@ val check_checkpoints :
 val check_profiles :
   ?max_insts:int -> Linked.t -> input:int array -> Trace.t ->
   Diagnostic.t list
-(** Exact profile from the live emulator vs from the trace replay vs
+(** Exact profile from a fresh capture of [input] vs from the given
+    trace's replay vs
     reconstructed from a period-1 periodic sampler; all three must have
     byte-identical serialised counters, and the period-1 reconstruction
     must satisfy flow conservation. *)

@@ -23,3 +23,25 @@ let pp ppf e =
     | Plain -> Fmt.pf ppf "plain"
   in
   Fmt.pf ppf "{%d %a next=%d}" e.addr pp_kind e.kind e.next
+
+let tag_fall = 0
+let tag_jump = 1
+let tag_branch_taken = 2
+let tag_branch_not_taken = 3
+let tag_load = 4
+let tag_store = 5
+let tag_call = 6
+let tag_ret = 7
+
+let box ~addr ~tag ~p1 ~p2 ~next =
+  let kind =
+    match tag with
+    | 0 | 1 -> Plain
+    | 2 -> Branch { taken = true; target = p1; fall = p2 }
+    | 3 -> Branch { taken = false; target = p1; fall = p2 }
+    | 4 -> Mem { is_load = true; location = p1 }
+    | 5 -> Mem { is_load = false; location = p1 }
+    | 6 -> Call { callee_entry = p1 }
+    | _ -> Return { return_to = p1 }
+  in
+  { addr; kind; next }

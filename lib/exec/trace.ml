@@ -9,33 +9,28 @@
      main word  =  (addr lsl 3) lor tag          (int32)
      aux words  =  per-tag operands, in stream order
 
-   with the tags below. [next] is never stored when it is derivable:
-   plain fall-through and memory events continue at [addr + 1]; taken
-   branches continue at their target, not-taken at their fall address;
-   calls continue at the callee entry and returns at the return-to
-   address (the final halting return carries -1, which is exactly
-   [Event.halted_next]). Only jumps — Plain events whose [next] is not
-   [addr + 1], including the Halt terminator — store [next] explicitly.
-   On the real workloads ~95% of events are plain fall-throughs, so the
-   packed form costs ~4-8 bytes per event against the 40+ bytes of a
-   boxed event list.
+   with the tags of [Event.tag_*]. [next] is never stored when it is
+   derivable: plain fall-through and memory events continue at
+   [addr + 1]; taken branches continue at their target, not-taken at
+   their fall address; calls continue at the callee entry and returns
+   at the return-to address (the final halting return carries -1,
+   which is exactly [Event.halted_next]). Only jumps — Plain events
+   whose [next] is not [addr + 1], including the Halt terminator —
+   store [next] explicitly. On the real workloads ~95% of events are
+   plain fall-throughs, so the packed form costs ~4-8 bytes per event
+   against the 40+ bytes of a boxed event list.
 
    The main word is an int32, which bounds instruction addresses to
    2^28; linked programs are many orders of magnitude smaller. Operand
    words (memory locations in particular) are arbitrary ints and live
-   in the native-int [aux] buffer. *)
+   in the native-int [aux] buffer.
+
+   [replay] is the one decoder: every consumer (the image, the
+   profilers, the boxed [iter]) receives each event from it as
+   unboxed ints. *)
 
 type main_buf = (int32, Bigarray.int32_elt, Bigarray.c_layout) Bigarray.Array1.t
 type aux_buf = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
-
-let tag_fall = 0 (* plain, next = addr + 1; no operands *)
-let tag_jump = 1 (* plain, explicit next (halt stores -1) *)
-let tag_branch_taken = 2 (* operands: target, fall *)
-let tag_branch_not_taken = 3 (* operands: target, fall *)
-let tag_load = 4 (* operand: location *)
-let tag_store = 5 (* operand: location *)
-let tag_call = 6 (* operand: callee entry = next *)
-let tag_ret = 7 (* operand: return-to = next *)
 
 let max_addr = 1 lsl 28
 
@@ -52,78 +47,50 @@ let complete t = t.complete
 let byte_size t =
   Bigarray.Array1.size_in_bytes t.main + Bigarray.Array1.size_in_bytes t.aux
 
-let aux_words tag =
-  if tag = tag_fall then 0
-  else if tag = tag_branch_taken || tag = tag_branch_not_taken then 2
-  else 1
-
 (* ---------- capture ---------- *)
 
 let create_main n = Bigarray.Array1.create Bigarray.int32 Bigarray.c_layout n
 let create_aux n = Bigarray.Array1.create Bigarray.int Bigarray.c_layout n
 
-(* Growth happens only when the buffer is exactly full, so the whole
-   old buffer is live and blits into the first half of the new one. *)
-let grow_main b =
-  let d = Bigarray.Array1.dim b in
-  let b' = create_main (2 * d) in
-  Bigarray.Array1.blit b (Bigarray.Array1.sub b' 0 d);
+(* Double a buffer, keeping its first [used] words. *)
+let grow_main b used =
+  let b' = create_main (2 * Bigarray.Array1.dim b) in
+  Bigarray.Array1.blit (Bigarray.Array1.sub b 0 used)
+    (Bigarray.Array1.sub b' 0 used);
   b'
 
-let grow_aux b =
-  let d = Bigarray.Array1.dim b in
-  let b' = create_aux (2 * d) in
-  Bigarray.Array1.blit b (Bigarray.Array1.sub b' 0 d);
+let grow_aux b used =
+  let b' = create_aux (2 * Bigarray.Array1.dim b) in
+  Bigarray.Array1.blit (Bigarray.Array1.sub b 0 used)
+    (Bigarray.Array1.sub b' 0 used);
   b'
 
 let capture ?(max_insts = max_int) linked ~input =
+  if Dmp_ir.Linked.size linked > max_addr then
+    invalid_arg "Trace.capture: address out of int32 range";
   let emu = Emulator.create linked ~input in
+  let e = Emulator.current emu in
   let main = ref (create_main 4096) in
   let aux = ref (create_aux 1024) in
   let n = ref 0 in
   let an = ref 0 in
-  let push_main addr tag =
-    if addr < 0 || addr >= max_addr then
-      invalid_arg "Trace.capture: address out of int32 range";
-    if !n >= Bigarray.Array1.dim !main then main := grow_main !main;
+  while !n < max_insts && Emulator.advance emu do
+    let tag = e.Emulator.tag in
+    if !n = Bigarray.Array1.dim !main then main := grow_main !main !n;
     Bigarray.Array1.unsafe_set !main !n
-      (Int32.of_int ((addr lsl 3) lor tag));
-    incr n
-  and push_aux v =
-    if !an >= Bigarray.Array1.dim !aux then aux := grow_aux !aux;
-    Bigarray.Array1.unsafe_set !aux !an v;
-    incr an
-  in
-  let rec go () =
-    if !n < max_insts then
-      match Emulator.step emu with
-      | None -> ()
-      | Some e ->
-          (match e.Event.kind with
-          | Event.Plain ->
-              if e.Event.next = e.Event.addr + 1 then
-                push_main e.Event.addr tag_fall
-              else begin
-                push_main e.Event.addr tag_jump;
-                push_aux e.Event.next
-              end
-          | Event.Branch { taken; target; fall } ->
-              push_main e.Event.addr
-                (if taken then tag_branch_taken else tag_branch_not_taken);
-              push_aux target;
-              push_aux fall
-          | Event.Mem { is_load; location } ->
-              push_main e.Event.addr (if is_load then tag_load else tag_store);
-              push_aux location
-          | Event.Call { callee_entry } ->
-              push_main e.Event.addr tag_call;
-              push_aux callee_entry
-          | Event.Return { return_to } ->
-              push_main e.Event.addr tag_ret;
-              push_aux return_to);
-          go ()
-  in
-  go ();
+      (Int32.of_int ((e.Emulator.addr lsl 3) lor tag));
+    incr n;
+    if tag <> Event.tag_fall then begin
+      if !an + 2 > Bigarray.Array1.dim !aux then aux := grow_aux !aux !an;
+      Bigarray.Array1.unsafe_set !aux !an e.Emulator.p1;
+      if tag = Event.tag_branch_taken || tag = Event.tag_branch_not_taken
+      then begin
+        Bigarray.Array1.unsafe_set !aux (!an + 1) e.Emulator.p2;
+        an := !an + 2
+      end
+      else incr an
+    end
+  done;
   (* Trim to exact size so the marshalled form carries no slack. *)
   let main' = create_main !n and aux' = create_aux !an in
   if !n > 0 then
@@ -131,72 +98,34 @@ let capture ?(max_insts = max_int) linked ~input =
   if !an > 0 then Bigarray.Array1.blit (Bigarray.Array1.sub !aux 0 !an) aux';
   { main = main'; aux = aux'; len = !n; complete = Emulator.halted emu }
 
-(* ---------- allocation-free cursor ---------- *)
+(* ---------- decoding ---------- *)
 
-type cursor = {
-  trace : t;
-  mutable pos : int;  (* next event index *)
-  mutable apos : int;  (* next aux index *)
-  mutable c_addr : int;
-  mutable c_tag : int;
-  mutable c_p1 : int;
-  mutable c_p2 : int;
-}
+let replay ?(max_insts = max_int) t f =
+  let main = t.main and aux = t.aux in
+  let ap = ref 0 in
+  for i = 0 to min max_insts t.len - 1 do
+    let w = Int32.to_int (Bigarray.Array1.unsafe_get main i) in
+    let addr = w lsr 3 and tag = w land 7 in
+    if tag = Event.tag_fall then f ~addr ~tag ~p1:0 ~p2:0 ~next:(addr + 1)
+    else begin
+      let p1 = Bigarray.Array1.unsafe_get aux !ap in
+      if tag = Event.tag_branch_taken || tag = Event.tag_branch_not_taken
+      then begin
+        let p2 = Bigarray.Array1.unsafe_get aux (!ap + 1) in
+        ap := !ap + 2;
+        f ~addr ~tag ~p1 ~p2
+          ~next:(if tag = Event.tag_branch_taken then p1 else p2)
+      end
+      else begin
+        incr ap;
+        f ~addr ~tag ~p1 ~p2:0
+          ~next:
+            (if tag = Event.tag_load || tag = Event.tag_store then addr + 1
+             else p1)
+      end
+    end
+  done
 
-let cursor trace =
-  { trace; pos = 0; apos = 0; c_addr = -1; c_tag = tag_fall; c_p1 = 0;
-    c_p2 = 0 }
-
-let advance c =
-  if c.pos >= c.trace.len then false
-  else begin
-    let w = Int32.to_int (Bigarray.Array1.unsafe_get c.trace.main c.pos) in
-    c.pos <- c.pos + 1;
-    let tag = w land 7 in
-    c.c_tag <- tag;
-    c.c_addr <- w lsr 3;
-    let words = aux_words tag in
-    if words > 0 then begin
-      c.c_p1 <- Bigarray.Array1.unsafe_get c.trace.aux c.apos;
-      if words = 2 then
-        c.c_p2 <- Bigarray.Array1.unsafe_get c.trace.aux (c.apos + 1);
-      c.apos <- c.apos + words
-    end;
-    true
-  end
-
-let addr c = c.c_addr
-let tag c = c.c_tag
-let p1 c = c.c_p1
-let p2 c = c.c_p2
-
-let next_addr c =
-  match c.c_tag with
-  | 0 | 4 | 5 (* fall, load, store *) -> c.c_addr + 1
-  | 3 (* branch not taken *) -> c.c_p2
-  | _ (* jump, branch taken, call, ret *) -> c.c_p1
-
-let taken c = c.c_tag = tag_branch_taken
-
-let is_cond_branch c =
-  c.c_tag = tag_branch_taken || c.c_tag = tag_branch_not_taken
-
-(* ---------- decoding (tests, debugging) ---------- *)
-
-let current_event c =
-  let kind =
-    match c.c_tag with
-    | 0 | 1 -> Event.Plain
-    | 2 -> Event.Branch { taken = true; target = c.c_p1; fall = c.c_p2 }
-    | 3 -> Event.Branch { taken = false; target = c.c_p1; fall = c.c_p2 }
-    | 4 -> Event.Mem { is_load = true; location = c.c_p1 }
-    | 5 -> Event.Mem { is_load = false; location = c.c_p1 }
-    | 6 -> Event.Call { callee_entry = c.c_p1 }
-    | _ -> Event.Return { return_to = c.c_p1 }
-  in
-  { Event.addr = c.c_addr; kind; next = next_addr c }
-
-let iter ?(max_insts = max_int) t f =
-  let c = cursor t in
-  let rec go n = if n < max_insts && advance c then (f (current_event c); go (n + 1)) in
-  go 0
+let iter ?max_insts t f =
+  replay ?max_insts t (fun ~addr ~tag ~p1 ~p2 ~next ->
+      f (Event.box ~addr ~tag ~p1 ~p2 ~next))

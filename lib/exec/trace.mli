@@ -5,11 +5,12 @@
     Each event packs into one int32 main word ([(addr lsl 3) lor tag])
     plus 0-2 native-int operand words; [next] addresses are re-derived
     from the tag on replay, so ~95% of real-workload events (plain
-    fall-throughs) cost 4 bytes. A trace is immutable after capture and
-    safe to share across domains; every consumer owns its own
-    {!cursor}. Traces marshal directly (Bigarrays serialise their
-    contents), which is how {!Dmp_experiments.Disk_cache} persists
-    them. *)
+    fall-throughs) cost 4 bytes. {!replay} is the one decoder: it hands
+    each event to a callback as unboxed ints, and {!Image.of_trace},
+    the profilers and {!iter} all read the trace through it. A trace is
+    immutable after capture and safe to share across domains. Traces
+    marshal directly (Bigarrays serialise their contents), which is how
+    {!Dmp_experiments.Disk_cache} persists them. *)
 
 open Dmp_ir
 
@@ -18,7 +19,7 @@ type t
 val capture : ?max_insts:int -> Linked.t -> input:int array -> t
 (** Run a fresh emulator to completion (or [max_insts] retired
     instructions) and pack its event stream. Raises [Invalid_argument]
-    if an instruction address exceeds the int32 packing range (2^28 —
+    if the program's addresses exceed the int32 packing range (2^28 —
     unreachable for any linkable program). *)
 
 val length : t -> int
@@ -34,52 +35,15 @@ val byte_size : t -> int
     outside the OCaml heap, so generic heap-size estimates miss them) —
     the size {!Dmp_exec.Mem_cache} accounts for a cached trace. *)
 
-(** {2 Allocation-free cursor}
-
-    A cursor decodes one event at a time into mutable int fields; the
-    accessors below read the current event and never allocate. The
-    cursor is positioned before the first event; each {!advance} loads
-    the next event and returns [false] at end of trace. *)
-
-type cursor
-
-val cursor : t -> cursor
-val advance : cursor -> bool
-
-val addr : cursor -> int
-val next_addr : cursor -> int
-
-val tag : cursor -> int
-(** One of the [tag_*] constants below. *)
-
-val taken : cursor -> bool
-(** Direction of the current conditional branch (false otherwise). *)
-
-val is_cond_branch : cursor -> bool
-
-val p1 : cursor -> int
-(** First operand: branch target / memory location / callee entry /
-    return-to address. Meaningless for plain fall-through events. *)
-
-val p2 : cursor -> int
-(** Second operand: branch fall-through address. Only valid for
-    conditional branches. *)
-
-val tag_fall : int
-val tag_jump : int
-val tag_branch_taken : int
-val tag_branch_not_taken : int
-val tag_load : int
-val tag_store : int
-val tag_call : int
-val tag_ret : int
-
-(** {2 Decoding} *)
-
-val current_event : cursor -> Event.t
-(** Decode the cursor's current event into a boxed {!Event.t}
-    (allocates; for tests and debugging). *)
+val replay :
+  ?max_insts:int -> t ->
+  (addr:int -> tag:int -> p1:int -> p2:int -> next:int -> unit) -> unit
+(** Decode the first [max_insts] events (default: all) in order and
+    hand each to the callback unboxed: [tag] is one of the
+    [Event.tag_*] constants, [p1] and [p2] are the operands of
+    {!Event.box}, and an operand the tag does not define is 0.
+    Allocates nothing per event. *)
 
 val iter : ?max_insts:int -> t -> (Event.t -> unit) -> unit
-(** Decode and visit every event in order (allocates one event per
-    step; for tests and debugging). *)
+(** {!replay}, boxing every event (allocates one event per step; for
+    tests, the oracle and debugging). *)

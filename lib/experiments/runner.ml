@@ -4,9 +4,11 @@
    per (program, input set): its event stream is captured into a
    packed [Trace.t] under the per-benchmark lock; the trace is decoded
    once into a flat [Image.t] and every later baseline / dmp call
-   replays the image (profiling still walks the packed trace — it runs
-   once per pair anyway). A program is a benchmark as registered or its
-   software-predicated form; both go through the same stages.
+   replays the image. The exact and sampled profilers replay the
+   packed trace through the same decoder ([Trace.replay]) as the image
+   decode: a profile runs once per pair, and the packed form is about
+   4.4x smaller than the image. A program is a benchmark as registered
+   or its software-predicated form; both go through the same stages.
 
    Storage: every stage value lives in one runner-wide byte-budgeted
    [Mem_cache] (an LRU keyed by "kind/program/input-set[/params]"),
@@ -229,8 +231,8 @@ let trace_kind =
     (function VTrace v -> Some v | _ -> None)
 
 (* The decoded image is never persisted: the decode is one sequential
-   pass, cheaper than reading the ~8x larger flat form back from
-   disk. *)
+   pass, cheaper than reading the flat form, about 4.4x larger than the
+   packed trace, back from disk. *)
 let image_kind =
   kind "image" ~size:Image.byte_size
     (fun v -> VImage v)

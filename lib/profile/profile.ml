@@ -12,62 +12,65 @@ type t = {
   linked : Linked.t;
   branch_stats : (int, branch) Hashtbl.t;
   block_counts : int array array;
-  mutable retired : int;
+  retired : int;
 }
 
-let stats_for t addr =
-  match Hashtbl.find_opt t.branch_stats addr with
+let stats_for branch_stats addr =
+  match Hashtbl.find_opt branch_stats addr with
   | Some s -> s
   | None ->
       let s = { executed = 0; taken = 0; mispredicted = 0 } in
-      Hashtbl.replace t.branch_stats addr s;
+      Hashtbl.replace branch_stats addr s;
       s
 
-let collect_source ?(predictor = Predictor.perceptron ())
-    ?(max_insts = max_int) linked source =
-  let block_counts =
-    Array.init (Program.num_funcs linked.Linked.program) (fun fi ->
-        Array.make
-          (Func.num_blocks (Program.func linked.Linked.program fi))
-          0)
-  in
-  let t = { linked; branch_stats = Hashtbl.create 256; block_counts;
-            retired = 0 }
-  in
-  let count_block addr =
-    let fi, bi = Linked.block_of_addr linked addr in
-    block_counts.(fi).(bi) <- block_counts.(fi).(bi) + 1
-  in
-  count_block (Linked.entry_addr linked);
+let collect_trace ?(predictor = Predictor.perceptron ())
+    ?(max_insts = max_int) linked trace =
+  (* Block-start table, built once: [block_id.(a)] numbers the block
+     that starts at address [a], or is -1 inside a block. *)
+  let size = Linked.size linked in
+  let block_id = Array.make size (-1) in
+  let nblocks = ref 0 in
+  Array.iter
+    (Array.iter (fun a ->
+         block_id.(a) <- !nblocks;
+         incr nblocks))
+    linked.Linked.block_addr;
+  let counts = Array.make !nblocks 0 in
+  let count_block b = counts.(b) <- counts.(b) + 1 in
+  count_block block_id.(Linked.entry_addr linked);
+  let branch_stats = Hashtbl.create 256 in
   let retired = ref 0 in
-  while !retired < max_insts && Source.advance source do
-    incr retired;
-    if Source.is_cond_branch source then begin
-      let addr = Source.addr source in
-      let taken = Source.taken source in
-      let s = stats_for t addr in
-      s.executed <- s.executed + 1;
-      if taken then s.taken <- s.taken + 1;
-      if predictor.Predictor.resolve ~addr ~taken <> taken then
-        s.mispredicted <- s.mispredicted + 1
-    end;
-    (* Count entry into the next basic block: any control transfer or a
-       fall into a block boundary. *)
-    let next = Source.next_addr source in
-    if next <> Event.halted_next then begin
-      let l = Linked.loc linked next in
-      if l.Linked.pos = 0 then count_block next
-    end
-  done;
-  t.retired <- !retired;
-  t
+  Trace.replay ~max_insts trace (fun ~addr ~tag ~p1:_ ~p2:_ ~next ->
+      incr retired;
+      if tag = Event.tag_branch_taken || tag = Event.tag_branch_not_taken
+      then begin
+        let taken = tag = Event.tag_branch_taken in
+        let s = stats_for branch_stats addr in
+        s.executed <- s.executed + 1;
+        if taken then s.taken <- s.taken + 1;
+        if predictor.Predictor.resolve ~addr ~taken <> taken then
+          s.mispredicted <- s.mispredicted + 1
+      end;
+      (* Count entry into the next basic block: any control transfer or
+         a fall into a block boundary. *)
+      if next <> Event.halted_next then begin
+        if next < 0 || next >= size then
+          invalid_arg
+            (Printf.sprintf "Profile.collect_trace: address %d out of range"
+               next);
+        let b = Array.unsafe_get block_id next in
+        if b >= 0 then count_block b
+      end);
+  let block_counts =
+    Array.map
+      (Array.map (fun a -> counts.(block_id.(a))))
+      linked.Linked.block_addr
+  in
+  { linked; branch_stats; block_counts; retired = !retired }
 
 let collect ?predictor ?max_insts linked ~input =
-  collect_source ?predictor ?max_insts linked
-    (Source.live (Emulator.create linked ~input))
-
-let collect_trace ?predictor ?max_insts linked trace =
-  collect_source ?predictor ?max_insts linked (Source.replay trace)
+  collect_trace ?predictor ?max_insts linked
+    (Trace.capture ?max_insts linked ~input)
 
 let retired t = t.retired
 let branch t ~addr = Hashtbl.find_opt t.branch_stats addr

@@ -1,11 +1,10 @@
 (** Edge/branch profiler.
 
-    Consumes the architectural event stream of a profiling input set —
-    from a live emulator or a replayed packed trace — and records, per
-    static conditional branch: execution count, taken count, and
-    mispredictions under a software profiling predictor. Block
-    execution counts give the edge profile the paper's Alg-freq
-    consumes. *)
+    Replays the packed trace of a profiling input set
+    ({!Dmp_exec.Trace.replay}) and records, per static conditional
+    branch: execution count, taken count, and mispredictions under a
+    software profiling predictor. Block execution counts give the edge
+    profile the paper's Alg-freq consumes. *)
 
 open Dmp_ir
 open Dmp_exec
@@ -19,21 +18,19 @@ type branch = {
 
 type t
 
-val collect :
-  ?predictor:Predictor.t -> ?max_insts:int -> Linked.t -> input:int array -> t
-(** Profile by emulating [input] live. *)
-
 val collect_trace :
   ?predictor:Predictor.t -> ?max_insts:int -> Linked.t -> Trace.t -> t
-(** Profile by replaying a packed trace of the same linked program;
-    yields a profile identical to {!collect} over the input the trace
-    was captured from, provided the trace covers [max_insts] events
-    (captured with the same or a larger cap, or {!Trace.complete}). *)
+(** Profile by replaying a packed trace of the same linked program, up
+    to [max_insts] events. The trace must cover [max_insts] events
+    (captured with the same or a larger cap, or {!Trace.complete}) for
+    the profile to be that of the capped run.
+    @raise Invalid_argument if an event continues past the end of the
+    program (a trace of another program). *)
 
-val collect_source :
-  ?predictor:Predictor.t -> ?max_insts:int -> Linked.t -> Source.t -> t
-(** Profile an arbitrary trace source (the general form of the two
-    above). *)
+val collect :
+  ?predictor:Predictor.t -> ?max_insts:int -> Linked.t -> input:int array -> t
+(** {!collect_trace} over a fresh {!Trace.capture} of [input] with the
+    same cap. *)
 
 val retired : t -> int
 val branch : t -> addr:int -> branch option

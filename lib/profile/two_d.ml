@@ -25,30 +25,30 @@ type t = { num_slices : int; branches : (int, branch_phases) Hashtbl.t }
 
 let collect ?(predictor = Predictor.perceptron ()) ?(num_slices = 16)
     ?(max_insts = max_int) linked ~input =
-  (* First pass bound: we need the trace length to size slices. *)
-  let total =
-    let emu = Emulator.create linked ~input in
-    Emulator.run ~max_insts emu
-  in
-  let slice_len = max 1 (total / num_slices) in
+  (* The capture's length sizes the slices; event i (from 0) falls in
+     slice (i + 1) / slice_len. *)
+  let trace = Trace.capture ~max_insts linked ~input in
+  let slice_len = max 1 (Trace.length trace / num_slices) in
   let raw : (int, int array * int array) Hashtbl.t = Hashtbl.create 64 in
-  let emu = Emulator.create linked ~input in
-  Emulator.iter ~max_insts emu (fun e ->
-      match e.Event.kind with
-      | Event.Branch { taken; _ } ->
-          let slice = min (num_slices - 1) (Emulator.retired emu / slice_len) in
-          let ex, mi =
-            match Hashtbl.find_opt raw e.Event.addr with
-            | Some p -> p
-            | None ->
-                let p = (Array.make num_slices 0, Array.make num_slices 0) in
-                Hashtbl.replace raw e.Event.addr p;
-                p
-          in
-          ex.(slice) <- ex.(slice) + 1;
-          if predictor.Predictor.resolve ~addr:e.Event.addr ~taken <> taken
-          then mi.(slice) <- mi.(slice) + 1
-      | Event.Mem _ | Event.Call _ | Event.Return _ | Event.Plain -> ());
+  let retired = ref 0 in
+  Trace.replay trace (fun ~addr ~tag ~p1:_ ~p2:_ ~next:_ ->
+      incr retired;
+      if tag = Event.tag_branch_taken || tag = Event.tag_branch_not_taken
+      then begin
+        let taken = tag = Event.tag_branch_taken in
+        let slice = min (num_slices - 1) (!retired / slice_len) in
+        let ex, mi =
+          match Hashtbl.find_opt raw addr with
+          | Some p -> p
+          | None ->
+              let p = (Array.make num_slices 0, Array.make num_slices 0) in
+              Hashtbl.replace raw addr p;
+              p
+        in
+        ex.(slice) <- ex.(slice) + 1;
+        if predictor.Predictor.resolve ~addr ~taken <> taken then
+          mi.(slice) <- mi.(slice) + 1
+      end);
   let branches = Hashtbl.create 64 in
   Hashtbl.iter
     (fun addr (ex, mi) ->

@@ -22,8 +22,8 @@ type t
 val collect :
   ?predictor:Predictor.t -> ?num_slices:int -> ?max_insts:int -> Linked.t ->
   input:int array -> t
-(** Runs the emulator twice: once to size the slices, once to fill
-    them. *)
+(** Captures the run once ({!Dmp_exec.Trace.capture}); its length sizes
+    the slices, and a replay of it fills them. *)
 
 val branch : t -> int -> branch_phases option
 val misp_rate : branch_phases -> float

@@ -1,5 +1,5 @@
 (* Sampled hardware-profile collection: periodic / LBR / mispredict-
-   event sampling over the same Source stream the exact profiler
+   event sampling over the same packed-trace replay the exact profiler
    consumes. Free-running totals are exact (PMU fixed counters); the
    per-branch and per-block counters are sparse and scaled back up by
    Reconstruct. Trigger gaps carry a deterministic splitmix-seeded
@@ -91,16 +91,16 @@ let bump tbl addr ~taken ~misp =
   if taken then c.s_taken <- c.s_taken + 1;
   if misp then c.s_mispredicted <- c.s_mispredicted + 1
 
-let collect_source ?(predictor = Predictor.perceptron ())
-    ?(max_insts = max_int) ~config linked source =
+let collect_trace ?(predictor = Predictor.perceptron ())
+    ?(max_insts = max_int) ~config linked trace =
   if config.period < 1 then
-    invalid_arg "Sampler.collect_source: period must be >= 1";
+    invalid_arg "Sampler.collect_trace: period must be >= 1";
   let ring_depth =
     match config.mode with
     | Periodic -> 0
     | Lbr k ->
         if k < 1 then
-          invalid_arg "Sampler.collect_source: LBR depth must be >= 1";
+          invalid_arg "Sampler.collect_trace: LBR depth must be >= 1";
         k
     | Mispredict -> default_lbr_depth
   in
@@ -157,40 +157,32 @@ let collect_source ?(predictor = Predictor.perceptron ())
     end;
     rearm ()
   in
+  let every_event = match config.mode with Mispredict -> false | _ -> true in
   let retired = ref 0 in
-  while !retired < max_insts && Source.advance source do
-    incr retired;
-    let is_branch = Source.is_cond_branch source in
-    let addr = Source.addr source in
-    let taken = is_branch && Source.taken source in
-    let misp = ref false in
-    if is_branch then begin
-      t.total_branches <- t.total_branches + 1;
-      if predictor.Predictor.resolve ~addr ~taken <> taken then begin
-        misp := true;
-        t.total_mispredicted <- t.total_mispredicted + 1
-      end;
-      if ring_depth > 0 then ring_push addr taken !misp
-    end;
-    match config.mode with
-    | Periodic | Lbr _ ->
-        decr countdown;
-        if !countdown <= 0 then
-          fire ~is_branch ~addr ~taken ~misp:!misp
-            ~next:(Source.next_addr source)
-    | Mispredict ->
-        if !misp then begin
-          decr countdown;
-          if !countdown <= 0 then
-            fire ~is_branch ~addr ~taken ~misp:!misp
-              ~next:(Source.next_addr source)
+  Trace.replay ~max_insts trace (fun ~addr ~tag ~p1:_ ~p2:_ ~next ->
+      incr retired;
+      let is_branch =
+        tag = Event.tag_branch_taken || tag = Event.tag_branch_not_taken
+      in
+      let taken = tag = Event.tag_branch_taken in
+      let misp =
+        if not is_branch then false
+        else begin
+          t.total_branches <- t.total_branches + 1;
+          let misp = predictor.Predictor.resolve ~addr ~taken <> taken in
+          if misp then t.total_mispredicted <- t.total_mispredicted + 1;
+          if ring_depth > 0 then ring_push addr taken misp;
+          misp
         end
-  done;
+      in
+      (* Periodic and LBR triggers count retired instructions,
+         Mispredict counts mispredictions. *)
+      if every_event || misp then begin
+        decr countdown;
+        if !countdown <= 0 then fire ~is_branch ~addr ~taken ~misp ~next
+      end);
   t.retired <- !retired;
   t
-
-let collect_trace ?predictor ?max_insts ~config linked trace =
-  collect_source ?predictor ?max_insts ~config linked (Source.replay trace)
 
 let config t = t.config
 

@@ -4,8 +4,8 @@
     every production PGO pipeline instead feeds it sparse hardware
     counters — periodic PMU samples, LBR last-K-branch records, or
     mispredict-event samples à la HWPGO. This module models those three
-    collection modes over the same architectural event stream the exact
-    profiler consumes ({!Dmp_exec.Source}), so sampled and exact
+    collection modes over the same packed-trace replay the exact
+    profiler consumes ({!Dmp_exec.Trace.replay}), so sampled and exact
     profiles of one run are directly comparable.
 
     What a sampler observes:
@@ -75,20 +75,17 @@ type counters = {
 
 type t
 
-val collect_source :
-  ?predictor:Predictor.t -> ?max_insts:int -> config:config -> Linked.t ->
-  Source.t -> t
-(** Consume the stream and collect samples. The default [predictor] is
-    the same profiling perceptron {!Dmp_profile.Profile.collect_source}
-    uses, and the cap semantics are identical, so a period-1
-    {!Periodic} sampler observes exactly the events the exact profiler
-    counts. Raises [Invalid_argument] on [period < 1] or a
-    non-positive LBR depth. *)
-
 val collect_trace :
   ?predictor:Predictor.t -> ?max_insts:int -> config:config -> Linked.t ->
   Trace.t -> t
-(** {!collect_source} over a packed-trace replay. *)
+(** Replay a packed trace of the program and collect samples. The
+    default [predictor] is the same profiling perceptron
+    {!Dmp_profile.Profile.collect_trace} uses, and the cap semantics are
+    identical, so a period-1 {!Periodic} sampler observes exactly the
+    events the exact profiler counts. Raises [Invalid_argument] on
+    [period < 1], a non-positive LBR depth, or a sampled event that
+    continues past the end of the program (a trace of another
+    program). *)
 
 val config : t -> config
 

@@ -585,7 +585,9 @@ let fetch_image_cycle t ~(in_dpred : dpred option) =
          (match in_dpred with
          | Some d when peek t img ->
              (* Stop the correct side at a CFM point before fetching it. *)
-             let next_fetch = Bigarray.Array1.unsafe_get addrs t.pos in
+             let next_fetch =
+               Int32.to_int (Bigarray.Array1.unsafe_get addrs t.pos)
+             in
              if Annotation.is_cfm d.d_cfm next_fetch then begin
                d.d_correct_stop <- next_fetch;
                raise Stop_fetch
@@ -594,8 +596,8 @@ let fetch_image_cycle t ~(in_dpred : dpred option) =
          if not (consume t img) then raise Stop_fetch
          else begin
            let pos = t.pos in
-           let addr = Bigarray.Array1.unsafe_get addrs pos in
-           let next = Bigarray.Array1.unsafe_get nexts pos in
+           let addr = Int32.to_int (Bigarray.Array1.unsafe_get addrs pos) in
+           let next = Int32.to_int (Bigarray.Array1.unsafe_get nexts pos) in
            (* Loop dpred-mode ends when the trace reaches the loop's
               exit target through any path. *)
            (match t.mode with
@@ -617,10 +619,10 @@ let fetch_image_cycle t ~(in_dpred : dpred option) =
            | Static_info.K_branch ->
                incr branches;
                let taken =
-                 Bigarray.Array1.unsafe_get tags pos = Trace.tag_branch_taken
+                 Bigarray.Array1.unsafe_get tags pos = Event.tag_branch_taken
                in
                let target = Bigarray.Array1.unsafe_get p1s pos in
-               let fall = Bigarray.Array1.unsafe_get p2s pos in
+               let fall = Int32.to_int (Bigarray.Array1.unsafe_get p2s pos) in
                (match t.mpt with
                | Some m -> Mpt.observe_branch m ~addr ~taken
                | None -> ());

@@ -188,29 +188,57 @@ let test_trace_matches_emulator () =
   check Alcotest.bool "identical event stream" true
     (replay_events tr = live)
 
-let test_trace_cursor_fields () =
-  let linked = Linked.link (Helpers.freq_hammock_program ~iters:100 ()) in
+(* Trace.replay hands each event over unboxed: its fields must be the
+   emulator's, operand by operand, and undefined operands must be 0. *)
+let check_replay_fields program =
+  let linked = Linked.link program in
   let input = Helpers.uniform_input 200 in
   let tr = Trace.capture linked ~input in
-  let emu = Emulator.create linked ~input in
-  let c = Trace.cursor tr in
-  Emulator.iter emu (fun e ->
-      check Alcotest.bool "advance" true (Trace.advance c);
-      check Alcotest.int "addr" e.Event.addr (Trace.addr c);
-      check Alcotest.int "next" e.Event.next (Trace.next_addr c);
+  let live = Array.of_list (live_events linked ~input) in
+  let i = ref 0 in
+  Trace.replay tr (fun ~addr ~tag ~p1 ~p2 ~next ->
+      let e = live.(!i) in
+      incr i;
+      check Alcotest.int "addr" e.Event.addr addr;
+      check Alcotest.int "next" e.Event.next next;
       match e.Event.kind with
       | Event.Branch { taken; target; fall } ->
-          check Alcotest.bool "is_cond_branch" true (Trace.is_cond_branch c);
-          check Alcotest.bool "taken" taken (Trace.taken c);
-          check Alcotest.int "target" target (Trace.p1 c);
-          check Alcotest.int "fall" fall (Trace.p2 c)
-      | Event.Mem { location; _ } ->
-          check Alcotest.bool "not a branch" false (Trace.is_cond_branch c);
-          check Alcotest.int "location" location (Trace.p1 c)
-      | Event.Call _ | Event.Return _ | Event.Plain ->
-          check Alcotest.bool "not a branch" false (Trace.is_cond_branch c));
-  check Alcotest.bool "cursor exhausted with the emulator" false
-    (Trace.advance c)
+          check Alcotest.int "branch tag"
+            (if taken then Event.tag_branch_taken
+             else Event.tag_branch_not_taken)
+            tag;
+          check Alcotest.int "target" target p1;
+          check Alcotest.int "fall" fall p2
+      | Event.Mem { is_load; location } ->
+          check Alcotest.int "memory tag"
+            (if is_load then Event.tag_load else Event.tag_store)
+            tag;
+          check Alcotest.int "location" location p1;
+          check Alcotest.int "no second operand" 0 p2
+      | Event.Call { callee_entry } ->
+          check Alcotest.int "call tag" Event.tag_call tag;
+          check Alcotest.int "callee entry" callee_entry p1
+      | Event.Return { return_to } ->
+          check Alcotest.int "return tag" Event.tag_ret tag;
+          check Alcotest.int "return-to" return_to p1
+      | Event.Plain ->
+          if next = addr + 1 then begin
+            check Alcotest.int "fall tag" Event.tag_fall tag;
+            check Alcotest.int "no first operand" 0 p1
+          end
+          else begin
+            check Alcotest.int "jump tag" Event.tag_jump tag;
+            check Alcotest.int "jump target" next p1
+          end);
+  check Alcotest.int "replay ends with the emulator" (Array.length live) !i;
+  let capped = ref 0 in
+  Trace.replay ~max_insts:10 tr (fun ~addr:_ ~tag:_ ~p1:_ ~p2:_ ~next:_ ->
+      incr capped);
+  check Alcotest.int "max_insts caps the replay" 10 !capped
+
+let test_trace_replay_fields () =
+  check_replay_fields (Helpers.freq_hammock_program ~iters:100 ());
+  check_replay_fields (Helpers.ret_cfm_program ~iters:30 ())
 
 let test_trace_capped_incomplete () =
   let f = B.func "main" in
@@ -298,6 +326,118 @@ let qcheck_random_programs_terminate =
       in
       let retired = Emulator.run ~max_insts:100_000 emu in
       Emulator.halted emu && retired < 100_000)
+
+(* ---------- the interpreter against the reference ---------- *)
+
+(* Step the library's emulator and [Emulator_ref] side by side: the
+   first event or final-state field on which they disagree, if any. *)
+let interpreter_mismatch ?(max_insts = max_int) linked ~input =
+  let emu = Emulator.create linked ~input in
+  let r = Emulator_ref.create linked ~input in
+  let pp = function
+    | None -> "end of stream"
+    | Some e -> Fmt.to_to_string Event.pp e
+  in
+  let rec go i =
+    if i >= max_insts then None
+    else
+      match (Emulator.step emu, Emulator_ref.step r) with
+      | None, None -> None
+      | Some a, Some b when a = b -> go (i + 1)
+      | a, b ->
+          Some (Printf.sprintf "event %d: %s, reference %s" i (pp a) (pp b))
+  in
+  match go 0 with
+  | Some _ as m -> m
+  | None ->
+      List.find_map
+        (fun (field, same) -> if same then None else Some field)
+        [
+          ("registers", Emulator.registers emu = Emulator_ref.registers r);
+          ( "memory_bindings",
+            Emulator.memory_bindings emu = Emulator_ref.memory_bindings r );
+          ("output", Emulator.output emu = Emulator_ref.output r);
+          ("halted", Emulator.halted emu = Emulator_ref.halted r);
+          ("retired", Emulator.retired emu = Emulator_ref.retired r);
+        ]
+
+(* A program and its software-predicated form, the only source of
+   [Select] instructions: [None] when both agree with the reference,
+   else the first disagreement. *)
+let program_mismatch ~max_insts linked ~input =
+  match interpreter_mismatch ~max_insts linked ~input with
+  | Some m -> Some ("original, " ^ m)
+  | None ->
+      let profile = Dmp_profile.Profile.collect ~max_insts linked ~input in
+      let transformed = Dmp_transform.Pipeline.run linked profile in
+      Option.map
+        (fun m -> "software-predicated, " ^ m)
+        (interpreter_mismatch ~max_insts
+           transformed.Dmp_transform.Pipeline.linked ~input)
+
+(* Coverage-guided random programs, fed back as `dmp check --random`
+   does so that irregular CFGs appear once every shape is covered. *)
+let qcheck_interpreter_matches_reference seed =
+  let gen = Dmp_check.Generator.create ~seed in
+  QCheck.Test.make
+    ~name:(Printf.sprintf "generated programs, seed %d" seed)
+    ~count:150
+    (QCheck.make
+       ~print:(fun (p, _) -> Asm.to_string p)
+       (fun _ -> Dmp_check.Generator.next gen))
+    (fun (program, input) ->
+      let linked = Linked.link program in
+      (match program_mismatch ~max_insts:200_000 linked ~input with
+      | None -> ()
+      | Some m -> QCheck.Test.fail_report m);
+      let profile = Dmp_profile.Profile.collect linked ~input in
+      Dmp_check.Generator.note gen
+        (Dmp_core.Select.run ~config:Dmp_core.Select.all_heuristic linked
+           profile);
+      true)
+
+(* Recursion 300 calls deep: the return-address stack grows past its
+   initial size, which no benchmark prefix reaches. *)
+let test_interpreter_deep_recursion () =
+  let r = B.func "rec" in
+  B.branch r Term.Eq (reg 4) (B.imm 0) ~target:"base" ();
+  B.label r "step";
+  B.sub r (reg 4) (reg 4) (B.imm 1);
+  B.add r (reg 5) (reg 5) (B.imm 2);
+  B.call r "rec";
+  B.add r (reg 5) (reg 5) (B.imm 1);
+  B.ret r;
+  B.label r "base";
+  B.ret r;
+  let f = B.func "main" in
+  B.li f (reg 4) 300;
+  B.call f "rec";
+  B.write f (reg 5);
+  B.halt f;
+  let linked =
+    Linked.link (Program.of_funcs_exn ~main:"main" [ B.finish f; B.finish r ])
+  in
+  (match interpreter_mismatch linked ~input:[||] with
+  | None -> ()
+  | Some m -> Alcotest.fail m);
+  let emu = Emulator.create linked ~input:[||] in
+  ignore (Emulator.run emu);
+  check Alcotest.(list int) "every frame returned" [ 900 ] (Emulator.output emu)
+
+let test_interpreter_matches_reference_on_benchmarks () =
+  List.iter
+    (fun (spec : Dmp_workload.Spec.t) ->
+      let linked = Dmp_workload.Spec.linked spec in
+      List.iter
+        (fun set ->
+          match
+            program_mismatch ~max_insts:100_000 linked
+              ~input:(spec.Dmp_workload.Spec.input set)
+          with
+          | None -> ()
+          | Some m -> Alcotest.failf "%s: %s" spec.Dmp_workload.Spec.name m)
+        [ Dmp_workload.Input_gen.Reduced; Dmp_workload.Input_gen.Train ])
+    Dmp_workload.Registry.all
 
 (* ---------- domain pool ---------- *)
 
@@ -504,7 +644,7 @@ let () =
         [
           Alcotest.test_case "matches emulator" `Quick
             test_trace_matches_emulator;
-          Alcotest.test_case "cursor fields" `Quick test_trace_cursor_fields;
+          Alcotest.test_case "replay fields" `Quick test_trace_replay_fields;
           Alcotest.test_case "capped capture" `Quick
             test_trace_capped_incomplete;
           QCheck_alcotest.to_alcotest qcheck_trace_replay_equals_live;
@@ -515,6 +655,15 @@ let () =
           Alcotest.test_case "capped and empty" `Quick
             test_image_capped_and_empty;
           QCheck_alcotest.to_alcotest qcheck_image_decodes_trace;
+        ] );
+      ( "reference",
+        [
+          QCheck_alcotest.to_alcotest (qcheck_interpreter_matches_reference 1);
+          QCheck_alcotest.to_alcotest (qcheck_interpreter_matches_reference 2);
+          Alcotest.test_case "17 benchmarks x {reduced, train}" `Quick
+            test_interpreter_matches_reference_on_benchmarks;
+          Alcotest.test_case "deep recursion" `Quick
+            test_interpreter_deep_recursion;
         ] );
       ( "pool",
         [

@@ -239,6 +239,42 @@ let qcheck_profile_total_branches =
       && Profile.total_mispredictions profile
          <= Profile.total_branch_executions profile)
 
+(* The largest benchmark's trace replayed against the smallest one's
+   linked program: an event continues past the smaller program's end,
+   and both profilers must reject it with [Invalid_argument] rather
+   than read their per-address tables out of bounds. *)
+let test_foreign_trace_rejected () =
+  let module Spec = Dmp_workload.Spec in
+  let by_size =
+    List.sort
+      (fun a b ->
+        compare (Linked.size (Spec.linked a)) (Linked.size (Spec.linked b)))
+      Dmp_workload.Registry.all
+  in
+  let small = Spec.linked (List.hd by_size) in
+  let large = List.hd (List.rev by_size) in
+  let trace =
+    Dmp_exec.Trace.capture ~max_insts:200_000 (Spec.linked large)
+      ~input:(large.Spec.input Dmp_workload.Input_gen.Reduced)
+  in
+  let leaves = ref false in
+  Dmp_exec.Trace.replay trace (fun ~addr:_ ~tag:_ ~p1:_ ~p2:_ ~next ->
+      if next >= Linked.size small then leaves := true);
+  check Alcotest.bool "the trace leaves the smaller program" true !leaves;
+  let rejects what f =
+    match f () with
+    | exception Invalid_argument _ -> ()
+    | () -> Alcotest.failf "%s accepted another program's trace" what
+  in
+  rejects "Profile.collect_trace" (fun () ->
+      ignore (Profile.collect_trace small trace));
+  rejects "Sampler.collect_trace at periodic period 1" (fun () ->
+      ignore
+        (Dmp_sampling.Sampler.collect_trace
+           ~config:
+             { Dmp_sampling.Sampler.mode = Periodic; period = 1; seed = 42 }
+           small trace))
+
 let () =
   Alcotest.run "dmp_profile"
     [
@@ -266,6 +302,8 @@ let () =
           Alcotest.test_case "retired" `Quick test_retired_counts;
           QCheck_alcotest.to_alcotest qcheck_profile_total_branches;
           QCheck_alcotest.to_alcotest qcheck_profile_replay_equals_live;
+          Alcotest.test_case "foreign trace rejected" `Quick
+            test_foreign_trace_rejected;
         ] );
       ( "2d-profiling",
         [

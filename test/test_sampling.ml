@@ -154,14 +154,14 @@ let test_invalid_config () =
   let linked = Linked.link (Helpers.simple_hammock_program ~iters:5 ()) in
   let tr = Dmp_exec.Trace.capture linked ~input:(Array.make 20 1) in
   Alcotest.check_raises "period 0 rejected"
-    (Invalid_argument "Sampler.collect_source: period must be >= 1")
+    (Invalid_argument "Sampler.collect_trace: period must be >= 1")
     (fun () ->
       ignore
         (Sampler.collect_trace
            ~config:{ Sampler.mode = Sampler.Periodic; period = 0; seed = 1 }
            linked tr));
   Alcotest.check_raises "LBR depth 0 rejected"
-    (Invalid_argument "Sampler.collect_source: LBR depth must be >= 1")
+    (Invalid_argument "Sampler.collect_trace: LBR depth must be >= 1")
     (fun () ->
       ignore
         (Sampler.collect_trace
