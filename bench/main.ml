@@ -1,12 +1,10 @@
 (* Benchmark harness: regenerates every table and figure of the paper's
    evaluation section (Section 7) on the synthetic SPEC stand-ins, and
-   optionally runs Bechamel micro-benchmarks of the compiler algorithms
-   themselves.
+   load-tests a running serving daemon.
 
    Usage:
      bench/main.exe                 regenerate all tables and figures
      bench/main.exe table1 fig5l …  regenerate a subset
-     bench/main.exe micro           Bechamel micro-benchmarks
      bench/main.exe serve-load      closed-loop load against a running
                                     `dmp serve` daemon
 
@@ -40,118 +38,9 @@
 
 open Dmp_experiments
 
-(* Bechamel micro-benchmarks: the compile-time cost of each analysis
-   stage on a real workload binary (gcc has the largest CFG). One
-   Test.make per pipeline stage. *)
-let micro () =
-  let open Bechamel in
-  let open Toolkit in
-  let spec = Dmp_workload.Registry.find "gcc" in
-  let linked = Dmp_workload.Spec.linked spec in
-  let input = spec.Dmp_workload.Spec.input Dmp_workload.Input_gen.Reduced in
-  let profile =
-    Dmp_profile.Profile.collect ~max_insts:100_000 linked ~input
-  in
-  let trace =
-    Dmp_exec.Trace.capture ~max_insts:100_000 linked ~input
-  in
-  let image = Dmp_exec.Image.of_trace trace in
-  let annotation = Dmp_core.Select.run linked profile in
-  let oracle_ann = Dmp_mpp.Oracle.annotation linked in
-  let ctx = Dmp_core.Context.create linked profile in
-  let sampling =
-    { Dmp_sampling.Sampler.mode = Dmp_sampling.Sampler.Lbr 16;
-      period = 1000; seed = 42 }
-  in
-  let sampler =
-    Dmp_sampling.Sampler.collect_trace ~max_insts:100_000 ~config:sampling
-      linked trace
-  in
-  let tests =
-    [
-      Test.make ~name:"context-build"
-        (Staged.stage (fun () ->
-             ignore (Dmp_core.Context.create linked profile)));
-      Test.make ~name:"alg-exact"
-        (Staged.stage (fun () -> ignore (Dmp_core.Alg_exact.find ctx)));
-      Test.make ~name:"alg-freq"
-        (Staged.stage (fun () -> ignore (Dmp_core.Alg_freq.find ctx)));
-      Test.make ~name:"loop-select"
-        (Staged.stage (fun () -> ignore (Dmp_core.Loop_select.find ctx)));
-      Test.make ~name:"select-all-best-heur"
-        (Staged.stage (fun () ->
-             ignore (Dmp_core.Select.run linked profile)));
-      Test.make ~name:"profile-100k"
-        (Staged.stage (fun () ->
-             ignore
-               (Dmp_profile.Profile.collect ~max_insts:100_000 linked
-                  ~input)));
-      (* Sampled-profile pipeline, split into its two stages: walking
-         the trace with the LBR sampler, and reconstructing a dense
-         profile from the sparse samples by flow conservation. *)
-      Test.make ~name:"sample-100k"
-        (Staged.stage (fun () ->
-             ignore
-               (Dmp_sampling.Sampler.collect_trace ~max_insts:100_000
-                  ~config:sampling linked trace)));
-      Test.make ~name:"reconstruct-100k"
-        (Staged.stage (fun () ->
-             ignore (Dmp_sampling.Reconstruct.profile linked sampler)));
-      Test.make ~name:"trace-capture-100k"
-        (Staged.stage (fun () ->
-             ignore
-               (Dmp_exec.Trace.capture ~max_insts:100_000 linked ~input)));
-      Test.make ~name:"simulate-100k-baseline-image"
-        (Staged.stage (fun () ->
-             ignore
-               (Dmp_uarch.Sim.run_image ~config:Dmp_uarch.Config.baseline
-                  ~max_insts:100_000 linked image)));
-      Test.make ~name:"simulate-100k-dmp-image"
-        (Staged.stage (fun () ->
-             ignore
-               (Dmp_uarch.Sim.run_image ~config:Dmp_uarch.Config.dmp
-                  ~annotation ~max_insts:100_000 linked image)));
-      (* The two other merge-point providers on the same image: the
-         online Merge Point Table (training overhead included) and the
-         oracle IPOSDOM annotation under the static machinery. *)
-      Test.make ~name:"simulate-100k-dmp-dynamic"
-        (Staged.stage (fun () ->
-             ignore
-               (Dmp_uarch.Sim.run_image
-                  ~config:
-                    (Dmp_uarch.Config.dmp_dynamic Dmp_mpp.Mpt.default)
-                  ~max_insts:100_000 linked image)));
-      Test.make ~name:"simulate-100k-dmp-oracle"
-        (Staged.stage (fun () ->
-             ignore
-               (Dmp_uarch.Sim.run_image ~config:Dmp_uarch.Config.dmp
-                  ~annotation:oracle_ann ~max_insts:100_000 linked image)));
-    ]
-  in
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
-  in
-  List.iter
-    (fun test ->
-      let results =
-        Benchmark.all
-          (Benchmark.cfg ~limit:50 ~quota:(Time.second 0.5) ())
-          Instance.[ monotonic_clock ]
-          test
-      in
-      let analysis = Analyze.all ols Instance.monotonic_clock results in
-      Hashtbl.iter
-        (fun name result ->
-          match Analyze.OLS.estimates result with
-          | Some (est :: _) ->
-              Printf.printf "%-32s %12.0f ns/run\n" name est
-          | Some [] | None -> Printf.printf "%-32s (no estimate)\n" name)
-        analysis)
-    tests
-
 let valid_targets_msg () =
   Printf.sprintf "valid targets: %s"
-    (String.concat ", " (Targets.all @ [ "micro"; "serve-load" ]))
+    (String.concat ", " (Targets.all @ [ "serve-load" ]))
 
 let usage_error msg =
   Printf.eprintf "bench: %s\n%s\n" msg (valid_targets_msg ());
@@ -364,7 +253,6 @@ let () =
       exit 2);
   let o = parse_args (List.tl (Array.to_list Sys.argv)) in
   match o.targets with
-  | [ "micro" ] -> micro ()
   | [ "serve-load" ] -> serve_load o
   | requested ->
       let targets = if requested = [] then Targets.all else requested in

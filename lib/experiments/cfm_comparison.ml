@@ -39,33 +39,11 @@ type row = {
 let seed = 42
 let default_periods = [ 1_000; 100_000 ]
 
-(* DMP_CFM_PERIODS="1000" overrides the stale-profile period axis — CI
-   uses it to keep the smoke run small. Malformed values fail loudly
-   rather than silently sweeping the wrong grid. *)
-let periods_from_env () =
-  match Sys.getenv_opt "DMP_CFM_PERIODS" with
-  | None | Some "" -> None
-  | Some s ->
-      let parse p =
-        match int_of_string_opt (String.trim p) with
-        | Some v when v >= 1 -> v
-        | Some _ | None ->
-            invalid_arg
-              (Printf.sprintf
-                 "DMP_CFM_PERIODS: %S is not a period >= 1 (in %S)" p s)
-      in
-      Some (List.map parse (String.split_on_char ',' s))
-
 let mpt_label (m : Mpt.config) =
   Printf.sprintf "mpt-%dx%d" (1 lsl m.Mpt.log2_sets) m.Mpt.ways
 
 let variants ?periods () =
-  let periods =
-    match periods with
-    | Some ps -> ps
-    | None -> (
-        match periods_from_env () with Some ps -> ps | None -> default_periods)
-  in
+  let periods = Option.value ~default:default_periods periods in
   [
     V_static ("exact", Variants.all_best_heur, None);
     V_static ("freq", Variants.exact_freq, None);

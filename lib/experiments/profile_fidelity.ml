@@ -38,23 +38,6 @@ let seed = 42
 let default_periods = [ 1; 100; 1_000; 10_000; 100_000 ]
 let default_modes = [ Sampler.Periodic; Sampler.Lbr 16; Sampler.Mispredict ]
 
-(* DMP_FIDELITY_PERIODS="1,1000" overrides the period axis — CI uses it
-   to keep the smoke run to two points. Malformed values fail loudly
-   rather than silently sweeping the wrong grid. *)
-let periods_from_env () =
-  match Sys.getenv_opt "DMP_FIDELITY_PERIODS" with
-  | None | Some "" -> None
-  | Some s ->
-      let parse p =
-        match int_of_string_opt (String.trim p) with
-        | Some v when v >= 1 -> v
-        | Some _ | None ->
-            invalid_arg
-              (Printf.sprintf
-                 "DMP_FIDELITY_PERIODS: %S is not a period >= 1 (in %S)" p s)
-      in
-      Some (List.map parse (String.split_on_char ',' s))
-
 let jaccard compare a b =
   let a = List.sort_uniq compare a and b = List.sort_uniq compare b in
   match (a, b) with
@@ -90,14 +73,7 @@ let rec split_at n xs =
         (x :: a, b)
 
 let run ?periods ?modes runner =
-  let periods =
-    match periods with
-    | Some ps -> ps
-    | None -> (
-        match periods_from_env () with
-        | Some ps -> ps
-        | None -> default_periods)
-  in
+  let periods = Option.value ~default:default_periods periods in
   let modes = Option.value ~default:default_modes modes in
   let names = Runner.names runner in
   let nb = List.length names in

@@ -466,8 +466,8 @@ let config_digest (c : Config.t) =
   Digest.to_hex (Digest.string (Marshal.to_string c []))
 
 (* Configuration fields that shape the long-lived architectural state a
-   checkpoint restores in sampled mode — predictor kind, confidence and
-   cache geometry — plus the ROB size the resume validates against.
+   checkpoint restores in sampled mode — confidence and cache geometry —
+   plus the ROB size the resume validates against.
    Timing-only fields (widths, depths, latencies, the confidence
    threshold, the DMP episode limits) are normalised to the baseline so
    a sweep over them shares one set of reference checkpoints: the
@@ -478,7 +478,6 @@ let arch_key (c : Config.t) =
   {
     Config.baseline with
     Config.rob_size = c.Config.rob_size;
-    predictor = c.Config.predictor;
     conf_log2_entries = c.Config.conf_log2_entries;
     conf_history_length = c.Config.conf_history_length;
     l1_log2_sets = c.Config.l1_log2_sets;

@@ -23,8 +23,8 @@ let stats_for branch_stats addr =
       Hashtbl.replace branch_stats addr s;
       s
 
-let collect_trace ?(predictor = Predictor.perceptron ())
-    ?(max_insts = max_int) linked trace =
+let collect_trace ?(max_insts = max_int) linked trace =
+  let predictor = Perceptron.create () in
   (* Block-start table, built once: [block_id.(a)] numbers the block
      that starts at address [a], or is -1 inside a block. *)
   let size = Linked.size linked in
@@ -48,7 +48,7 @@ let collect_trace ?(predictor = Predictor.perceptron ())
         let s = stats_for branch_stats addr in
         s.executed <- s.executed + 1;
         if taken then s.taken <- s.taken + 1;
-        if predictor.Predictor.resolve ~addr ~taken <> taken then
+        if Perceptron.resolve predictor ~addr ~taken <> taken then
           s.mispredicted <- s.mispredicted + 1
       end;
       (* Count entry into the next basic block: any control transfer or
@@ -68,9 +68,8 @@ let collect_trace ?(predictor = Predictor.perceptron ())
   in
   { linked; branch_stats; block_counts; retired = !retired }
 
-let collect ?predictor ?max_insts linked ~input =
-  collect_trace ?predictor ?max_insts linked
-    (Trace.capture ?max_insts linked ~input)
+let collect ?max_insts linked ~input =
+  collect_trace ?max_insts linked (Trace.capture ?max_insts linked ~input)
 
 let retired t = t.retired
 let branch t ~addr = Hashtbl.find_opt t.branch_stats addr

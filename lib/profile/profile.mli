@@ -3,12 +3,13 @@
     Replays the packed trace of a profiling input set
     ({!Dmp_exec.Trace.replay}) and records, per static conditional
     branch: execution count, taken count, and mispredictions under a
-    software profiling predictor. Block execution counts give the edge
+    fresh {!Dmp_predictor.Perceptron}, the predictor every simulated
+    machine uses, so the profile counts the mispredictions a machine
+    incurs on the same stream. Block execution counts give the edge
     profile the paper's Alg-freq consumes. *)
 
 open Dmp_ir
 open Dmp_exec
-open Dmp_predictor
 
 type branch = {
   mutable executed : int;
@@ -18,8 +19,7 @@ type branch = {
 
 type t
 
-val collect_trace :
-  ?predictor:Predictor.t -> ?max_insts:int -> Linked.t -> Trace.t -> t
+val collect_trace : ?max_insts:int -> Linked.t -> Trace.t -> t
 (** Profile by replaying a packed trace of the same linked program, up
     to [max_insts] events. The trace must cover [max_insts] events
     (captured with the same or a larger cap, or {!Trace.complete}) for
@@ -27,8 +27,7 @@ val collect_trace :
     @raise Invalid_argument if an event continues past the end of the
     program (a trace of another program). *)
 
-val collect :
-  ?predictor:Predictor.t -> ?max_insts:int -> Linked.t -> input:int array -> t
+val collect : ?max_insts:int -> Linked.t -> input:int array -> t
 (** {!collect_trace} over a fresh {!Trace.capture} of [input] with the
     same cap. *)
 

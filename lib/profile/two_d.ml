@@ -23,8 +23,8 @@ type branch_phases = {
 
 type t = { num_slices : int; branches : (int, branch_phases) Hashtbl.t }
 
-let collect ?(predictor = Predictor.perceptron ()) ?(num_slices = 16)
-    ?(max_insts = max_int) linked ~input =
+let collect ?(num_slices = 16) ?(max_insts = max_int) linked ~input =
+  let predictor = Perceptron.create () in
   (* The capture's length sizes the slices; event i (from 0) falls in
      slice (i + 1) / slice_len. *)
   let trace = Trace.capture ~max_insts linked ~input in
@@ -46,7 +46,7 @@ let collect ?(predictor = Predictor.perceptron ()) ?(num_slices = 16)
               p
         in
         ex.(slice) <- ex.(slice) + 1;
-        if predictor.Predictor.resolve ~addr ~taken <> taken then
+        if Perceptron.resolve predictor ~addr ~taken <> taken then
           mi.(slice) <- mi.(slice) + 1
       end);
   let branches = Hashtbl.create 64 in

@@ -6,7 +6,6 @@
     at all. *)
 
 open Dmp_ir
-open Dmp_predictor
 
 type slice = { executed : int; mispredicted : int }
 
@@ -20,10 +19,10 @@ type branch_phases = {
 type t
 
 val collect :
-  ?predictor:Predictor.t -> ?num_slices:int -> ?max_insts:int -> Linked.t ->
-  input:int array -> t
+  ?num_slices:int -> ?max_insts:int -> Linked.t -> input:int array -> t
 (** Captures the run once ({!Dmp_exec.Trace.capture}); its length sizes
-    the slices, and a replay of it fills them. *)
+    the slices, and a replay of it under a fresh perceptron fills
+    them. *)
 
 val branch : t -> int -> branch_phases option
 val misp_rate : branch_phases -> float

@@ -91,8 +91,7 @@ let bump tbl addr ~taken ~misp =
   if taken then c.s_taken <- c.s_taken + 1;
   if misp then c.s_mispredicted <- c.s_mispredicted + 1
 
-let collect_trace ?(predictor = Predictor.perceptron ())
-    ?(max_insts = max_int) ~config linked trace =
+let collect_trace ?(max_insts = max_int) ~config linked trace =
   if config.period < 1 then
     invalid_arg "Sampler.collect_trace: period must be >= 1";
   let ring_depth =
@@ -158,6 +157,7 @@ let collect_trace ?(predictor = Predictor.perceptron ())
     rearm ()
   in
   let every_event = match config.mode with Mispredict -> false | _ -> true in
+  let predictor = Perceptron.create () in
   let retired = ref 0 in
   Trace.replay ~max_insts trace (fun ~addr ~tag ~p1:_ ~p2:_ ~next ->
       incr retired;
@@ -169,7 +169,7 @@ let collect_trace ?(predictor = Predictor.perceptron ())
         if not is_branch then false
         else begin
           t.total_branches <- t.total_branches + 1;
-          let misp = predictor.Predictor.resolve ~addr ~taken <> taken in
+          let misp = Perceptron.resolve predictor ~addr ~taken <> taken in
           if misp then t.total_mispredicted <- t.total_mispredicted + 1;
           if ring_depth > 0 then ring_push addr taken misp;
           misp

@@ -41,7 +41,6 @@
 
 open Dmp_ir
 open Dmp_exec
-open Dmp_predictor
 
 type mode =
   | Periodic  (** retired-instruction trigger; records the IP only *)
@@ -76,11 +75,10 @@ type counters = {
 type t
 
 val collect_trace :
-  ?predictor:Predictor.t -> ?max_insts:int -> config:config -> Linked.t ->
-  Trace.t -> t
+  ?max_insts:int -> config:config -> Linked.t -> Trace.t -> t
 (** Replay a packed trace of the program and collect samples. The
-    default [predictor] is the same profiling perceptron
-    {!Dmp_profile.Profile.collect_trace} uses, and the cap semantics are
+    profiling predictor is a fresh perceptron, as in
+    {!Dmp_profile.Profile.collect_trace}, and the cap semantics are
     identical, so a period-1 {!Periodic} sampler observes exactly the
     events the exact profiler counts. Raises [Invalid_argument] on
     [period < 1], a non-positive LBR depth, or a sampled event that

@@ -32,7 +32,7 @@ type t = {
   runner : Runner.t;
   jobs : int;
   admit : Semaphore.Counting.t;
-  responses : string Mem_cache.t;
+  responses : string Dmp_exec.Mem_cache.t;
   inflight : (string, cell) Hashtbl.t;
   m : Mutex.t;
   mutable coalesced : int;
@@ -64,7 +64,8 @@ let create ?benchmarks ?max_insts ?cache_dir ?jobs ?mem_budget
       Runner.create ?benchmarks ?max_insts ?cache_dir ~jobs ?mem_budget ();
     jobs;
     admit = Semaphore.Counting.make jobs;
-    responses = Mem_cache.create ~budget:response_budget ~name:"responses" ();
+    responses =
+      Dmp_exec.Mem_cache.create ~budget:response_budget ~name:"responses" ();
     inflight = Hashtbl.create 32;
     m = Mutex.create ();
     coalesced = 0;
@@ -91,7 +92,7 @@ let fingerprint_audit t =
   Mutex.unlock t.m;
   r
 
-let response_stats t = Mem_cache.stats t.responses
+let response_stats t = Dmp_exec.Mem_cache.stats t.responses
 let histogram t req = t.hists.(Protocol.kind_index req)
 
 (* ---------- request validation (error bodies match the CLI's
@@ -125,7 +126,7 @@ let ( let* ) = Result.bind
 
 let cached t key compute =
   Mutex.lock t.m;
-  match Mem_cache.find t.responses key with
+  match Dmp_exec.Mem_cache.find t.responses key with
   | Some body ->
       Mutex.unlock t.m;
       Ok body
@@ -160,7 +161,7 @@ let cached t key compute =
           Mutex.lock t.m;
           (match r with
           | Ok body ->
-              Mem_cache.add t.responses key
+              Dmp_exec.Mem_cache.add t.responses key
                 ~size:(String.length key + String.length body + 64)
                 body
           | Error _ -> ());
@@ -231,9 +232,11 @@ let stats_text t =
   Printf.bprintf b "selections: fingerprints=%d aliased-runs=%d\n" fingerprints
     fp_aliased;
   Buffer.add_string b
-    (Mem_cache.stats_line "responses" (Mem_cache.stats t.responses));
+    (Dmp_exec.Mem_cache.stats_line "responses"
+       (Dmp_exec.Mem_cache.stats t.responses));
   Buffer.add_char b '\n';
-  Buffer.add_string b (Mem_cache.stats_line "stages" (Runner.mem_stats t.runner));
+  Buffer.add_string b
+    (Dmp_exec.Mem_cache.stats_line "stages" (Runner.mem_stats t.runner));
   Buffer.add_char b '\n';
   Array.iteri
     (fun i h ->

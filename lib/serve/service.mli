@@ -64,6 +64,6 @@ val fingerprint_audit : t -> int * int
     from the fingerprint memo without simulating. Both also appear in
     {!stats_text} as the ["selections:"] line. *)
 
-val response_stats : t -> Mem_cache.stats
+val response_stats : t -> Dmp_exec.Mem_cache.stats
 val histogram : t -> Protocol.request -> Histogram.t
 (** The latency histogram of the request's kind. *)

@@ -29,15 +29,12 @@ type t = {
   line_bytes : int;
   memory_latency : int;
   store_latency : int;
-  (* Predictors. *)
-  predictor : string;
-  ras_size : int;
+  (* Confidence estimator. *)
   conf_log2_entries : int;
   conf_history_length : int;
   conf_threshold : int;
   (* DMP support. *)
   dmp_enabled : bool;
-  num_cfm_registers : int;
   select_uop_latency : int;
   max_walk_insts : int;  (* wrong-side fetch walker bound *)
   max_loop_extra_iterations : int;
@@ -63,13 +60,10 @@ let baseline =
     line_bytes = 64;
     memory_latency = 300;
     store_latency = 1;
-    predictor = "perceptron";
-    ras_size = 64;
     conf_log2_entries = 8;
     conf_history_length = 12;
     conf_threshold = 14;
     dmp_enabled = false;
-    num_cfm_registers = 3;
     select_uop_latency = 1;
     max_walk_insts = 512;
     max_loop_extra_iterations = 3;
@@ -83,12 +77,10 @@ let dmp_dynamic mpt =
 
 let min_misp_penalty t = t.front_depth + 1 + t.int_latency
 
-let pp ppf t =
-  Fmt.pf ppf
-    "fetch=%d rob=%d depth=%d penalty>=%d pred=%s dmp=%b cfm-regs=%d"
-    t.fetch_width t.rob_size t.front_depth (min_misp_penalty t) t.predictor
-    t.dmp_enabled t.num_cfm_registers
-
+(* The rows keep the paper's words. Two of its figures are literals:
+   the simulator models no return address stack, and the CFM registers
+   are the compiler's MAX_CFM ([Dmp_core.Params.max_cfm] = 3), which
+   bounds the CFM points per diverge branch. *)
 let describe_table1 t =
   [
     ( "Front End",
@@ -98,8 +90,7 @@ let describe_table1 t =
         t.fetch_width t.max_branches_per_cycle t.front_depth
         (min_misp_penalty t) );
     ( "Branch Predictors",
-      Printf.sprintf "%s predictor; %d-entry return address stack"
-        t.predictor t.ras_size );
+      "perceptron predictor; 64-entry return address stack" );
     ( "Execution Core",
       Printf.sprintf
         "%d-wide issue/retire; %d-entry reorder buffer; latencies: \
@@ -114,7 +105,7 @@ let describe_table1 t =
     ( "DMP Support",
       Printf.sprintf
         "enhanced JRS confidence estimator (2^%d entries, %d-bit \
-         history, threshold %d); %d CFM registers; select-uop latency %d"
+         history, threshold %d); 3 CFM registers; select-uop latency %d"
         t.conf_log2_entries t.conf_history_length t.conf_threshold
-        t.num_cfm_registers t.select_uop_latency );
+        t.select_uop_latency );
   ]

@@ -27,13 +27,10 @@ type t = {
   line_bytes : int;
   memory_latency : int;
   store_latency : int;
-  predictor : string;
-  ras_size : int;
   conf_log2_entries : int;
   conf_history_length : int;
   conf_threshold : int;
   dmp_enabled : bool;
-  num_cfm_registers : int;
   select_uop_latency : int;
   max_walk_insts : int;
   max_loop_extra_iterations : int;
@@ -50,8 +47,6 @@ val dmp_dynamic : Dmp_mpp.Mpt.config -> t
 val min_misp_penalty : t -> int
 (** Front-end depth plus redirect plus execute latency (25 cycles with
     the default configuration, as in Table 1). *)
-
-val pp : t Fmt.t
 
 val describe_table1 : t -> (string * string) list
 (** (section, description) rows mirroring Table 1. *)

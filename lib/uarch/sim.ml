@@ -73,7 +73,7 @@ type t = {
   diverge_at : Annotation.compiled option array;
   (* Correct-path supply, indexed by [pos]. *)
   image : Image.t;
-  predictor : Predictor.t;
+  predictor : Perceptron.t;
   conf : Conf.t;
   (* Dynamic merge-point predictor (Config.Dynamic provider only):
      trained on every consumed correct-path event, consulted by
@@ -115,7 +115,7 @@ let create_image ?(config = Config.baseline) ?annotation
     sinfo;
     diverge_at = Annotation.compile ~size:(Static_info.size sinfo) annotation;
     image;
-    predictor = Predictor.of_name config.Config.predictor;
+    predictor = Perceptron.create ();
     conf =
       Conf.create ~log2_entries:config.Config.conf_log2_entries
         ~history_length:config.Config.conf_history_length
@@ -251,11 +251,10 @@ let walker_step t (w : walker) ~done_cycle =
       (match info.Static_info.klass with
       | Static_info.K_branch ->
           let taken =
-            t.predictor.Predictor.predict_with_history ~history:w.w_hist
+            Perceptron.predict_with_history t.predictor ~history:w.w_hist
               ~addr:w.w_pc
           in
-          w.w_hist <- t.predictor.Predictor.shift_history ~history:w.w_hist
-              ~taken;
+          w.w_hist <- Perceptron.shift t.predictor ~history:w.w_hist ~taken;
           w.w_pc <-
             (if taken then info.Static_info.taken_addr
              else info.Static_info.fall_addr)
@@ -287,8 +286,8 @@ type branch_outcome = {
 }
 
 let process_cond_branch t ~addr ~taken ~(info : Static_info.info) =
-  let pre_history = t.predictor.Predictor.history () in
-  let predicted = t.predictor.Predictor.resolve ~addr ~taken in
+  let pre_history = Perceptron.history t.predictor in
+  let predicted = Perceptron.resolve t.predictor ~addr ~taken in
   let est = Conf.estimate t.conf ~addr in
   let mispredicted = predicted <> taken in
   Conf.update t.conf ~addr ~taken ~mispredicted;
@@ -330,7 +329,7 @@ let enter_hammock_dpred t ~addr ~taken (c : Annotation.compiled)
     if taken then info.Static_info.fall_addr else info.Static_info.taken_addr
   in
   let wrong_hist =
-    t.predictor.Predictor.shift_history ~history:o.b_pre_history
+    Perceptron.shift t.predictor ~history:o.b_pre_history
       ~taken:(not taken)
   in
   t.stats.Stats.dpred_entries <- t.stats.Stats.dpred_entries + 1;
@@ -360,18 +359,14 @@ let phantom_extra_iterations t ~addr ~pre_history ~exit_taken ~cap =
   let rec go hist n =
     if n >= cap then n
     else
-      let p =
-        t.predictor.Predictor.predict_with_history ~history:hist ~addr
-      in
+      let p = Perceptron.predict_with_history t.predictor ~history:hist ~addr in
       if p = exit_taken then n
       else
-        let hist' = t.predictor.Predictor.shift_history ~history:hist
-            ~taken:p
-        in
+        let hist' = Perceptron.shift t.predictor ~history:hist ~taken:p in
         go hist' (n + 1)
   in
   go
-    (t.predictor.Predictor.shift_history ~history:pre_history
+    (Perceptron.shift t.predictor ~history:pre_history
        ~taken:(not exit_taken))
     0
 
@@ -545,7 +540,7 @@ let[@inline] branch_event t ~(in_dpred : dpred option) ~addr ~taken ~target
     | None, (M_normal | M_dpred _) -> ());
     let start = if taken then fall else target in
     let hist =
-      t.predictor.Predictor.shift_history ~history:o.b_pre_history
+      Perceptron.shift t.predictor ~history:o.b_pre_history
         ~taken:(not taken)
     in
     normal_flush ~wrong_path:(start, hist) t ~done_cycle:o.b_done;
@@ -850,7 +845,7 @@ let checkpoint t =
        ("rob", rob);
        ("reg", Array.copy t.reg_ready);
        ("stats", Stats.to_array t.stats);
-       ("pred", t.predictor.Predictor.export_state ());
+       ("pred", Perceptron.export t.predictor);
        ("conf", Conf.export t.conf);
        ("l1", Cache.export t.hier.Cache.l1);
        ("l2", Cache.export t.hier.Cache.l2);
@@ -888,7 +883,7 @@ let restore_arch t ck =
   t.trace_done <- trace_done = 1;
   t.pos <- pos;
   t.consumed <- Checkpoint.consumed ck;
-  t.predictor.Predictor.import_state (Checkpoint.section ck "pred");
+  Perceptron.import t.predictor (Checkpoint.section ck "pred");
   Conf.import t.conf (Checkpoint.section ck "conf");
   Cache.import t.hier.Cache.l1 (Checkpoint.section ck "l1");
   Cache.import t.hier.Cache.l2 (Checkpoint.section ck "l2");

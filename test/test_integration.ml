@@ -119,6 +119,49 @@ let test_replay_equals_live_across_suite () =
               img)))
     Registry.all
 
+let test_profiler_and_machines_share_predictor () =
+  (* The compiler reads exactly the mispredictions that the machine
+     incurs: the profiler and all three machines resolve every
+     correct-path conditional branch through a fresh perceptron, so on
+     one capped stream their branch and misprediction totals agree. *)
+  let cap = 200_000 in
+  List.iter
+    (fun spec ->
+      let linked = Spec.linked spec in
+      List.iter
+        (fun set ->
+          let trace =
+            Dmp_exec.Trace.capture ~max_insts:cap linked
+              ~input:(spec.Spec.input set)
+          in
+          let image = Dmp_exec.Image.of_trace trace in
+          let profile =
+            Dmp_profile.Profile.collect_trace ~max_insts:cap linked trace
+          in
+          let ann = Select.run linked profile in
+          List.iter
+            (fun (machine, config, annotation) ->
+              let s =
+                Sim.run_image ~config ?annotation ~max_insts:cap linked image
+              in
+              let what =
+                Printf.sprintf "%s/%s %s" spec.Spec.name
+                  (Input_gen.set_to_string set) machine
+              in
+              check Alcotest.int (what ^ ": branches")
+                (Dmp_profile.Profile.total_branch_executions profile)
+                s.Stats.cond_branches;
+              check Alcotest.int (what ^ ": mispredictions")
+                (Dmp_profile.Profile.total_mispredictions profile)
+                s.Stats.mispredictions)
+            [
+              ("baseline", Config.baseline, None);
+              ("dmp", Config.dmp, Some ann);
+              ("mpt", Config.dmp_dynamic Dmp_mpp.Mpt.default, None);
+            ])
+        [ Input_gen.Reduced; Input_gen.Train ])
+    Registry.all
+
 let test_selection_deterministic () =
   let linked, _, profile = pipeline "gcc" Input_gen.Reduced in
   let a = Select.run linked profile in
@@ -167,5 +210,7 @@ let () =
             test_selection_deterministic;
           Alcotest.test_case "all CFG kinds selected" `Slow
             test_annotation_kinds_present_across_suite;
+          Alcotest.test_case "profiler = machines' predictor" `Slow
+            test_profiler_and_machines_share_predictor;
         ] );
     ]

@@ -18,16 +18,16 @@ let test_history () =
   done;
   check Alcotest.int "masked" 15 (History.fold h !x)
 
-let train predictor outcomes =
+let train p outcomes =
   List.iter
-    (fun (addr, taken) -> ignore (predictor.Predictor.resolve ~addr ~taken))
+    (fun (addr, taken) -> ignore (Perceptron.resolve p ~addr ~taken))
     outcomes
 
-let accuracy predictor outcomes =
+let accuracy p outcomes =
   let correct = ref 0 and total = ref 0 in
   List.iter
     (fun (addr, taken) ->
-      if predictor.Predictor.resolve ~addr ~taken = taken then incr correct;
+      if Perceptron.resolve p ~addr ~taken = taken then incr correct;
       incr total)
     outcomes;
   float_of_int !correct /. float_of_int !total
@@ -41,47 +41,31 @@ let alternating_stream ~addr ~n = List.init n (fun i -> (addr, i mod 2 = 0))
 (* ---------- Perceptron ---------- *)
 
 let test_perceptron_biased () =
-  let p = Predictor.perceptron () in
+  let p = Perceptron.create () in
   train p (biased_stream ~addr:100 ~p:0.9 ~n:500 ~seed:1);
   let acc = accuracy p (biased_stream ~addr:100 ~p:0.9 ~n:500 ~seed:2) in
   check Alcotest.bool "learns 90% bias" true (acc > 0.8)
 
 let test_perceptron_alternating () =
-  let p = Predictor.perceptron () in
+  let p = Perceptron.create () in
   train p (alternating_stream ~addr:100 ~n:400);
   let acc = accuracy p (alternating_stream ~addr:100 ~n:400) in
   check Alcotest.bool "learns alternation" true (acc > 0.95)
 
 let test_perceptron_speculative_no_mutation () =
-  let p = Predictor.perceptron () in
+  let p = Perceptron.create () in
   train p (biased_stream ~addr:4 ~p:0.7 ~n:200 ~seed:3);
-  let h = p.Predictor.history () in
-  let state = p.Predictor.export_state () in
-  let before = p.Predictor.predict_with_history ~history:h ~addr:4 in
+  let h = Perceptron.history p in
+  let state = Perceptron.export p in
+  let before = Perceptron.predict_with_history p ~history:h ~addr:4 in
   (* speculative queries with a private history must not disturb state *)
-  let h' = p.Predictor.shift_history ~history:h ~taken:false in
-  ignore (p.Predictor.predict_with_history ~history:h' ~addr:4);
-  ignore (p.Predictor.predict_with_history ~history:h' ~addr:8);
+  let h' = Perceptron.shift p ~history:h ~taken:false in
+  ignore (Perceptron.predict_with_history p ~history:h' ~addr:4);
+  ignore (Perceptron.predict_with_history p ~history:h' ~addr:8);
   check Alcotest.bool "prediction unchanged" before
-    (p.Predictor.predict_with_history ~history:h ~addr:4);
-  check Alcotest.int "history unchanged" h (p.Predictor.history ());
-  check Alcotest.(array int) "tables unchanged" state
-    (p.Predictor.export_state ())
-
-(* ---------- Gshare ---------- *)
-
-let test_gshare_biased () =
-  (* short history so the bias is learnable from few samples *)
-  let p = Predictor.gshare ~history_length:4 () in
-  train p (biased_stream ~addr:100 ~p:0.95 ~n:500 ~seed:4);
-  let acc = accuracy p (biased_stream ~addr:100 ~p:0.95 ~n:500 ~seed:5) in
-  check Alcotest.bool "learns bias" true (acc > 0.85)
-
-let test_gshare_alternating () =
-  let p = Predictor.gshare () in
-  train p (alternating_stream ~addr:64 ~n:600);
-  let acc = accuracy p (alternating_stream ~addr:64 ~n:200) in
-  check Alcotest.bool "history helps" true (acc > 0.9)
+    (Perceptron.predict_with_history p ~history:h ~addr:4);
+  check Alcotest.int "history unchanged" h (Perceptron.history p);
+  check Alcotest.(array int) "tables unchanged" state (Perceptron.export p)
 
 (* ---------- Confidence ---------- *)
 
@@ -125,25 +109,21 @@ let qcheck_predict_total =
   QCheck.Test.make ~name:"predictors total over addresses" ~count:200
     QCheck.(pair (int_range 0 1_000_000) bool)
     (fun (addr, taken) ->
-      List.for_all
-        (fun p ->
-          ignore (p.Predictor.resolve ~addr ~taken);
-          true)
-        [ Predictor.perceptron (); Predictor.gshare ();
-          Predictor.always ~taken:true ])
+      ignore (Perceptron.resolve (Perceptron.create ()) ~addr ~taken);
+      true)
 
 let qcheck_shift_history_pure =
   QCheck.Test.make ~name:"shift_history is pure" ~count:200
     QCheck.(pair (int_range 0 10000) bool)
     (fun (h, taken) ->
-      let p = Predictor.perceptron () in
-      let a = p.Predictor.shift_history ~history:h ~taken in
-      let b = p.Predictor.shift_history ~history:h ~taken in
+      let p = Perceptron.create () in
+      let a = Perceptron.shift p ~history:h ~taken in
+      let b = Perceptron.shift p ~history:h ~taken in
       a = b)
 
 (* ---------- differential: resolve = the two-pass reference ---------- *)
 
-(* One step of a stream driven through [Predictor.perceptron] and the
+(* One step of a stream driven through [Perceptron] and the
    pre-[resolve] copy in perceptron_ref.ml. *)
 type step =
   | Resolve of int * bool  (* addr, taken *)
@@ -216,11 +196,11 @@ let qcheck_resolve_equals_reference =
          map (fun s -> (g, s)) (steps_gen ~entries ~history_length)))
     (fun (g, steps) ->
       let entries, history_length = List.nth geometries g in
-      let p = Predictor.perceptron ~entries ~history_length () in
+      let p = Perceptron.create ~entries ~history_length () in
       let r = Perceptron_ref.create ~entries ~history_length () in
       let same () =
-        p.Predictor.history () = Perceptron_ref.history r
-        && p.Predictor.export_state () = Perceptron_ref.export r
+        Perceptron.history p = Perceptron_ref.history r
+        && Perceptron.export p = Perceptron_ref.export r
       in
       List.for_all
         (fun step ->
@@ -229,18 +209,18 @@ let qcheck_resolve_equals_reference =
             | Resolve (addr, taken) ->
                 let expected = Perceptron_ref.predict r ~addr in
                 Perceptron_ref.update r ~addr ~taken;
-                p.Predictor.resolve ~addr ~taken = expected
+                Perceptron.resolve p ~addr ~taken = expected
             | Query (history, addr) ->
-                p.Predictor.predict_with_history ~history ~addr
+                Perceptron.predict_with_history p ~history ~addr
                 = Perceptron_ref.predict_with_history r ~history ~addr
             | Ref_to_dut ->
-                p.Predictor.import_state (Perceptron_ref.export r);
+                Perceptron.import p (Perceptron_ref.export r);
                 true
             | Dut_to_ref ->
-                Perceptron_ref.import r (p.Predictor.export_state ());
+                Perceptron_ref.import r (Perceptron.export p);
                 true
             | Load state ->
-                p.Predictor.import_state state;
+                Perceptron.import p state;
                 Perceptron_ref.import r state;
                 true
           in
@@ -259,11 +239,6 @@ let () =
             test_perceptron_alternating;
           Alcotest.test_case "speculative queries pure" `Quick
             test_perceptron_speculative_no_mutation;
-        ] );
-      ( "gshare",
-        [
-          Alcotest.test_case "biased" `Quick test_gshare_biased;
-          Alcotest.test_case "alternating" `Quick test_gshare_alternating;
         ] );
       ( "confidence",
         [

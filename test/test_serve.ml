@@ -4,6 +4,7 @@
    (exactly one pipeline execution for K concurrent identical
    requests), and the daemon-vs-offline-CLI byte-identity oracle. *)
 
+open Dmp_exec
 open Dmp_serve
 open Dmp_workload
 open Dmp_experiments
